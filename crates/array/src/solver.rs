@@ -67,7 +67,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use teg_units::{Amps, KernelMode, TemperatureDelta, Volts, Watts};
+use teg_units::{Amps, TemperatureDelta, Volts, Watts};
 
 use crate::configuration::Configuration;
 use crate::electrical::{GroupOperatingPoint, TegArray};
@@ -197,9 +197,9 @@ impl SolvedPoint {
     }
 }
 
-/// Every `load`/`load_plan`/`set_mode` stamps the solver with a fresh value
-/// from this process-wide counter, so a [`GroupSumMemo`] can tell "same
-/// terms, same lane" apart from "anything changed" — even across distinct
+/// Every `load`/`load_plan` stamps the solver with a fresh value from this
+/// process-wide counter, so a [`GroupSumMemo`] can tell "same terms" apart
+/// from "anything changed" — even across distinct
 /// solver instances sharing one memo.
 static LOAD_GENERATION: AtomicU64 = AtomicU64::new(1);
 
@@ -217,14 +217,12 @@ fn next_generation() -> u64 {
 /// cost is dominated by the O(modules) range accumulation;
 /// [`ArraySolver::evaluate_candidates_with_memo`] reuses a cached sum for
 /// every range it has already accumulated under the current load generation
-/// and kernel lane, and falls back to the lane's own range kernel on a miss
-/// — cached or not, the value is produced by the same function, so results
-/// are **bit-identical** to [`ArraySolver::evaluate_candidates`] in both
-/// [`KernelMode`] lanes.
+/// and falls back to the range kernel on a miss — cached or not, the value
+/// is produced by the same function, so results are **bit-identical** to
+/// [`ArraySolver::evaluate_candidates`].
 ///
-/// The memo self-invalidates: [`ArraySolver::load`],
-/// [`ArraySolver::set_mode`] and plan solves stamp the solver with a fresh
-/// generation, and a memo whose generation disagrees is cleared before use.
+/// The memo self-invalidates: [`ArraySolver::load`] and plan solves stamp
+/// the solver with a fresh generation, and a memo whose generation disagrees is cleared before use.
 /// Stale reuse is therefore impossible, even when one memo is passed
 /// between different solvers.
 #[derive(Debug, Clone, Default)]
@@ -280,24 +278,14 @@ impl GroupSumMemo {
 ///
 /// All buffers grow to the largest array solved and are then recycled:
 /// after warm-up no method allocates.  A solver is cheap to create and
-/// carries no observable state beyond its [`KernelMode`] — otherwise only
-/// scratch — so cloning or defaulting one anywhere is always correct.
-///
-/// # Kernel modes
-///
-/// The solver defaults to [`KernelMode::BitExact`]: group sums run in
-/// module order with the reference rounding, matching the legacy per-call
-/// path bit for bit.  [`KernelMode::Fast`] (via [`ArraySolver::with_mode`]
-/// or [`ArraySolver::set_mode`]) switches the group accumulation to a
-/// branch-free 4-wide chunked sum — same mathematics, reordered rounding —
-/// whose results agree with the bit-exact lane within the tolerance the
-/// equivalence suite pins (see `TESTING.md`).
+/// carries no observable state — only scratch — so cloning or defaulting
+/// one anywhere is always correct.  Group sums run in module order with the
+/// reference rounding, matching the legacy per-call path bit for bit.
 #[derive(Debug, Clone, Default)]
 pub struct ArraySolver {
-    mode: KernelMode,
     // Per-module terms of the loaded ΔT vector (zero while nothing loaded).
     loaded_modules: usize,
-    // Stamp of the currently loaded terms + lane; see `LOAD_GENERATION`.
+    // Stamp of the currently loaded terms; see `LOAD_GENERATION`.
     load_generation: u64,
     g: Vec<f64>,
     ge: Vec<f64>,
@@ -316,30 +304,6 @@ impl ArraySolver {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty solver running the given kernel mode.
-    #[must_use]
-    pub fn with_mode(mode: KernelMode) -> Self {
-        Self {
-            mode,
-            ..Self::default()
-        }
-    }
-
-    /// The kernel mode this solver runs.
-    #[must_use]
-    pub const fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Switches the kernel mode (scratch and loaded terms are untouched;
-    /// only subsequent accumulations change lane).
-    pub fn set_mode(&mut self, mode: KernelMode) {
-        // The two lanes round differently, so cached range sums from one
-        // lane must never satisfy lookups in the other.
-        self.load_generation = next_generation();
-        self.mode = mode;
     }
 
     /// Derives the per-module EMF/conductance terms for one ΔT vector and
@@ -513,11 +477,10 @@ impl ArraySolver {
     /// share ranges with earlier ones (a search population mutating a few
     /// boundaries of an incumbent) cost O(groups) hash lookups instead of
     /// O(modules) arithmetic.  Results are bit-identical to the unmemoised
-    /// scan in both kernel lanes — the cached value is whatever the lane's
-    /// own range kernel produced on first sight.
+    /// scan — the cached value is whatever the range kernel produced on
+    /// first sight.
     ///
-    /// A memo bound to different loaded terms (or a different lane) is
-    /// cleared automatically before use; pass the same memo across calls
+    /// A memo bound to different loaded terms is cleared automatically before use; pass the same memo across calls
     /// between two `load`s to accumulate reuse.
     ///
     /// # Errors
@@ -655,15 +618,10 @@ impl ArraySolver {
         self.group_g.clear();
         self.group_shorted.clear();
         let mut broken = false;
-        let fast = self.mode.is_fast();
         for j in 0..n {
             let start = starts[j];
             let end = starts.get(j + 1).copied().unwrap_or(module_count);
-            let (s_g, g_g, shorted) = if fast {
-                self.sum_range_fast(start, end)
-            } else {
-                self.sum_range(start, end)
-            };
+            let (s_g, g_g, shorted) = self.sum_range(start, end);
             broken |= g_g <= 0.0 && !shorted;
             self.group_s.push(s_g);
             self.group_g.push(g_g);
@@ -673,8 +631,7 @@ impl ArraySolver {
     }
 
     /// [`ArraySolver::accumulate_groups`] through a [`GroupSumMemo`]: each
-    /// range sum is looked up first and computed (by the active lane's own
-    /// kernel) only on a miss, so repeated ranges across a candidate
+    /// range sum is looked up first and computed only on a miss, so repeated ranges across a candidate
     /// population are accumulated exactly once.
     fn accumulate_groups_memo(
         &mut self,
@@ -687,7 +644,6 @@ impl ArraySolver {
         self.group_g.clear();
         self.group_shorted.clear();
         let mut broken = false;
-        let fast = self.mode.is_fast();
         for j in 0..n {
             let start = starts[j];
             let end = starts.get(j + 1).copied().unwrap_or(module_count);
@@ -697,11 +653,7 @@ impl ArraySolver {
                     sums
                 }
                 None => {
-                    let sums = if fast {
-                        self.sum_range_fast(start, end)
-                    } else {
-                        self.sum_range(start, end)
-                    };
+                    let sums = self.sum_range(start, end);
                     memo.computed += 1;
                     memo.entries.insert((start, end), sums);
                     sums
@@ -736,45 +688,6 @@ impl ArraySolver {
             s_g += self.ge[i];
             g_g += self.g[i];
         }
-        (s_g, g_g, shorted)
-    }
-
-    /// [`KernelMode::Fast`] lane of [`ArraySolver::sum_range`]: branch-free
-    /// 4-wide chunked sums.
-    ///
-    /// Disconnected modules hold zeroed terms (`reset_terms` zero-fills and
-    /// `load`/`load_plan` never write them), so the `connected` branch can
-    /// be dropped: adding `0.0` to a finite accumulator is exact.  Four
-    /// independent accumulators break the FP-add latency chain; the final
-    /// pairwise combine reorders rounding relative to the in-order scan,
-    /// which is why this lane is tolerance-checked rather than bit-exact.
-    /// The string-broken predicate (`G_g <= 0.0` with no short) is
-    /// unaffected: a group with no connected modules sums to exactly `0.0`
-    /// in both lanes.
-    fn sum_range_fast(&self, start: usize, end: usize) -> (f64, f64, bool) {
-        let ge = &self.ge[start..end];
-        let g = &self.g[start..end];
-        let mut s = [0.0_f64; 4];
-        let mut c = [0.0_f64; 4];
-        let mut ge_chunks = ge.chunks_exact(4);
-        let mut g_chunks = g.chunks_exact(4);
-        for (e4, g4) in (&mut ge_chunks).zip(&mut g_chunks) {
-            s[0] += e4[0];
-            s[1] += e4[1];
-            s[2] += e4[2];
-            s[3] += e4[3];
-            c[0] += g4[0];
-            c[1] += g4[1];
-            c[2] += g4[2];
-            c[3] += g4[3];
-        }
-        for (&e, &gv) in ge_chunks.remainder().iter().zip(g_chunks.remainder()) {
-            s[0] += e;
-            c[0] += gv;
-        }
-        let s_g = (s[0] + s[1]) + (s[2] + s[3]);
-        let g_g = (c[0] + c[1]) + (c[2] + c[3]);
-        let shorted = self.short[start..end].iter().any(|&b| b);
         (s_g, g_g, shorted)
     }
 
@@ -980,16 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn default_mode_is_bit_exact_and_switchable() {
-        let solver = ArraySolver::new();
-        assert_eq!(solver.mode(), KernelMode::BitExact);
-        let mut solver = ArraySolver::with_mode(KernelMode::Fast);
-        assert_eq!(solver.mode(), KernelMode::Fast);
-        solver.set_mode(KernelMode::BitExact);
-        assert_eq!(solver.mode(), KernelMode::BitExact);
-    }
-
-    #[test]
     fn invalid_candidate_leaves_batch_output_untouched() {
         let array = TegArray::uniform(module(), 6);
         let deltas = gradient_deltas(6, 40.0, 20.0);
@@ -1009,30 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_matches_bit_exact_within_tolerance() {
-        let array = TegArray::uniform(module(), 17);
-        let deltas = gradient_deltas(17, 30.0, 40.0);
-        let candidates: Vec<_> = (1..=17)
-            .map(|n| Configuration::uniform(17, n).unwrap())
-            .collect();
-        let mut exact = ArraySolver::new();
-        let mut fast = ArraySolver::with_mode(KernelMode::Fast);
-        let (mut pe, mut pf) = (Vec::new(), Vec::new());
-        exact.load(&array, &deltas, None).unwrap();
-        fast.load(&array, &deltas, None).unwrap();
-        exact.evaluate_candidates(&candidates, &mut pe).unwrap();
-        fast.evaluate_candidates(&candidates, &mut pf).unwrap();
-        for (a, b) in pe.iter().zip(&pf) {
-            assert!(
-                teg_units::approx_eq(a.value(), b.value(), 1e-12),
-                "fast {b:?} drifted from exact {a:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_mode_agrees_on_broken_strings() {
-        // An all-open group kills the string identically in both lanes.
+    fn an_all_open_group_breaks_the_string() {
         let array = TegArray::uniform(module(), 8);
         let deltas = gradient_deltas(8, 40.0, 10.0);
         let mut faults = FaultState::healthy(8);
@@ -1042,13 +922,11 @@ mod tests {
                 .unwrap();
         }
         let config = Configuration::new(vec![0, 4], 8).unwrap();
-        for mode in [KernelMode::BitExact, KernelMode::Fast] {
-            let mut solver = ArraySolver::with_mode(mode);
-            solver.load(&array, &deltas, Some(&faults)).unwrap();
-            let point = solver.mpp(&config).unwrap();
-            assert_eq!(point.power(), Watts::ZERO, "{mode:?}");
-            assert_eq!(point.current(), Amps::ZERO, "{mode:?}");
-        }
+        let mut solver = ArraySolver::new();
+        solver.load(&array, &deltas, Some(&faults)).unwrap();
+        let point = solver.mpp(&config).unwrap();
+        assert_eq!(point.power(), Watts::ZERO);
+        assert_eq!(point.current(), Amps::ZERO);
     }
 
     #[test]
@@ -1111,46 +989,6 @@ mod tests {
             }
         }
 
-        /// Tolerance contract of the fast lane: for arbitrary partitions,
-        /// ΔT vectors and fault masks, `KernelMode::Fast` candidate powers
-        /// stay within a 1e-9 relative error of the bit-exact lane.  (The
-        /// chunked sums only reorder a ≤64-term addition of like-scaled
-        /// conductance terms, so the observed drift is orders of magnitude
-        /// below the bound.)
-        #[test]
-        fn prop_fast_lane_within_tolerance_of_bit_exact(
-            n in 2usize..24,
-            base in 0.0_f64..80.0,
-            span in -30.0_f64..50.0,
-            partition_seed in 0u64..u64::MAX,
-            fault_mask in 0u64..u64::MAX,
-        ) {
-            let array = TegArray::uniform(module(), n);
-            let deltas = gradient_deltas(n, base, span);
-            let faults = fault_pattern(n, fault_mask);
-            let mut candidates: Vec<_> = (1..=n)
-                .map(|groups| Configuration::uniform(n, groups).unwrap())
-                .collect();
-            for rotate in [0, 13, 37] {
-                candidates.push(partition_from_mask(n, partition_seed.rotate_left(rotate)));
-            }
-            let mut exact = ArraySolver::new();
-            let mut fast = ArraySolver::with_mode(KernelMode::Fast);
-            let (mut pe, mut pf) = (Vec::new(), Vec::new());
-            for active in [None, Some(&faults)] {
-                exact.load(&array, &deltas, active).unwrap();
-                fast.load(&array, &deltas, active).unwrap();
-                exact.evaluate_candidates(&candidates, &mut pe).unwrap();
-                fast.evaluate_candidates(&candidates, &mut pf).unwrap();
-                for (a, b) in pe.iter().zip(&pf) {
-                    prop_assert!(
-                        teg_units::approx_eq(a.value(), b.value(), 1e-9),
-                        "fast {} vs exact {}", b.value(), a.value()
-                    );
-                }
-            }
-        }
-
         /// A compiled plan solved per ΔT vector matches the legacy
         /// whole-operating-point methods bitwise, healthy and faulted, at
         /// the MPP and at arbitrary imposed currents.
@@ -1197,8 +1035,8 @@ mod tests {
             }
         }
 
-        /// The memoised candidate scan is bit-identical to the direct one in
-        /// both kernel lanes, for arbitrary partitions and fault patterns —
+        /// The memoised candidate scan is bit-identical to the direct one,
+        /// for arbitrary partitions and fault patterns —
         /// whether a range sum is served from the table or freshly computed
         /// must be unobservable in the results.
         #[test]
@@ -1216,28 +1054,26 @@ mod tests {
                 .iter()
                 .map(|&s| partition_from_mask(n, s))
                 .collect();
-            for mode in [KernelMode::BitExact, KernelMode::Fast] {
-                let mut solver = ArraySolver::with_mode(mode);
-                solver.load(&array, &deltas, Some(&faults)).unwrap();
-                let mut direct = Vec::new();
-                solver.evaluate_candidates(&candidates, &mut direct).unwrap();
-                let mut memo = GroupSumMemo::new();
-                let mut memoised = Vec::new();
-                // Twice through the same memo: the second pass is all hits.
-                for _ in 0..2 {
-                    solver
-                        .evaluate_candidates_with_memo(&candidates, &mut memo, &mut memoised)
-                        .unwrap();
-                    for (a, b) in direct.iter().zip(&memoised) {
-                        prop_assert_eq!(a.value().to_bits(), b.value().to_bits());
-                    }
+            let mut solver = ArraySolver::new();
+            solver.load(&array, &deltas, Some(&faults)).unwrap();
+            let mut direct = Vec::new();
+            solver.evaluate_candidates(&candidates, &mut direct).unwrap();
+            let mut memo = GroupSumMemo::new();
+            let mut memoised = Vec::new();
+            // Twice through the same memo: the second pass is all hits.
+            for _ in 0..2 {
+                solver
+                    .evaluate_candidates_with_memo(&candidates, &mut memo, &mut memoised)
+                    .unwrap();
+                for (a, b) in direct.iter().zip(&memoised) {
+                    prop_assert_eq!(a.value().to_bits(), b.value().to_bits());
                 }
             }
         }
     }
 
     #[test]
-    fn memo_reuses_ranges_and_invalidates_on_reload_and_mode_switch() {
+    fn memo_reuses_ranges_and_invalidates_on_reload() {
         let array = TegArray::uniform(module(), 8);
         let deltas = gradient_deltas(8, 50.0, 20.0);
         let candidates = vec![
@@ -1271,13 +1107,6 @@ mod tests {
             .evaluate_candidates_with_memo(&candidates, &mut memo, &mut out)
             .unwrap();
         assert_eq!((memo.hits(), memo.computed()), (7, 8));
-
-        // A lane switch re-rounds every range sum, so it invalidates too.
-        solver.set_mode(KernelMode::Fast);
-        solver
-            .evaluate_candidates_with_memo(&candidates, &mut memo, &mut out)
-            .unwrap();
-        assert_eq!((memo.hits(), memo.computed()), (8, 12));
 
         memo.clear();
         assert!(memo.is_empty());

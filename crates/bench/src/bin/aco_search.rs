@@ -20,6 +20,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use teg_bench::available_parallelism;
 use teg_device::VariationModel;
 use teg_sim::{
     FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SweepReport,
@@ -171,7 +172,9 @@ fn render_json(cases: &[Case]) -> String {
     out.push_str("  \"unit\": \"mean_net_energy_joules\",\n");
     let _ = writeln!(
         out,
-        "  \"modules\": {MODULES},\n  \"drive_seconds\": {DRIVE_SECONDS},\n  \"cases\": ["
+        "  \"available_parallelism\": {},\n  \"modules\": {MODULES},\n  \
+         \"drive_seconds\": {DRIVE_SECONDS},\n  \"cases\": [",
+        available_parallelism()
     );
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };

@@ -1,17 +1,13 @@
 //! Solver hot-path microbenchmark — the candidate scan that dominates every
 //! reconfiguration decision, measured on the legacy per-call path
 //! (`TegArray::mpp_power` per candidate) against the compiled batch path
-//! (`ArraySolver::load` + `evaluate_candidates`), and the batch path's
-//! opt-in fast kernel lane against its bit-exact default.
+//! (`ArraySolver::load` + `evaluate_candidates`).
 //!
 //! Emits a machine-readable `BENCH_solver.json` next to the working
 //! directory (and a human-readable table on stdout) so CI can archive the
-//! perf trajectory of the electrical kernel across commits.  The bit-exact
-//! paths are asserted to agree **bitwise** before any timing happens, and
-//! the fast lane within its documented `1e-9` relative bound, so the binary
-//! doubles as a release-mode equivalence smoke check.  The process **exits
-//! non-zero** if the best fast-vs-bit-exact scan speedup drops below the
-//! committed floor.
+//! perf trajectory of the electrical kernel across commits.  The two paths
+//! are asserted to agree **bitwise** before any timing happens, so the
+//! binary doubles as a release-mode equivalence smoke check.
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -19,17 +15,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use teg_array::{ArraySolver, Configuration, TegArray};
-use teg_bench::{exponential_deltas, paper_array};
+use teg_bench::{available_parallelism, exponential_deltas, paper_array};
 use teg_reconfig::{Ehtr, Inor};
-use teg_units::{KernelMode, TemperatureDelta};
-
-/// The committed floor for the **best** fast-vs-bit-exact candidate-scan
-/// speedup across the cases below.  The fast lane's chunked sums pay off
-/// most on the larger arrays; smaller cases may sit near 1x, so the gate is
-/// on the maximum, matching the opt-in nature of the lane.
-const FAST_SPEEDUP_FLOOR: f64 = 1.2;
-/// The fast solver's documented kernel-level relative error bound.
-const FAST_TOLERANCE: f64 = 1e-9;
+use teg_units::TemperatureDelta;
 
 /// One measured case: a scheme's candidate set over an array size.
 struct Case {
@@ -38,16 +26,11 @@ struct Case {
     candidates: usize,
     legacy_ns: f64,
     compiled_ns: f64,
-    fast_ns: f64,
 }
 
 impl Case {
     fn speedup(&self) -> f64 {
         self.legacy_ns / self.compiled_ns
-    }
-
-    fn fast_speedup(&self) -> f64 {
-        self.compiled_ns / self.fast_ns
     }
 }
 
@@ -93,9 +76,8 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
     let deltas = exponential_deltas(modules, 70.0, 0.8);
     let candidates = candidates_for(scheme, &array, &deltas);
 
-    // Equivalence gates: the batch kernel must reproduce the legacy path bit
-    // for bit, and the fast lane must stay inside its documented relative
-    // bound, before their speed means anything.
+    // Equivalence gate: the batch kernel must reproduce the legacy path bit
+    // for bit before its speed means anything.
     let mut solver = ArraySolver::new();
     let mut powers = Vec::new();
     solver.load(&array, &deltas, None).expect("load");
@@ -108,20 +90,6 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
             batch.value().to_bits(),
             legacy.value().to_bits(),
             "batch kernel diverged from the legacy path on {scheme} n={modules}"
-        );
-    }
-    let mut fast_solver = ArraySolver::with_mode(KernelMode::Fast);
-    let mut fast_powers = Vec::new();
-    fast_solver.load(&array, &deltas, None).expect("fast load");
-    fast_solver
-        .evaluate_candidates(&candidates, &mut fast_powers)
-        .expect("fast batch evaluation");
-    for (exact, fast) in powers.iter().zip(&fast_powers) {
-        let (e, f) = (exact.value(), fast.value());
-        let scale = e.abs().max(f.abs()).max(1e-12);
-        assert!(
-            (e - f).abs() <= FAST_TOLERANCE * scale,
-            "fast kernel left its tolerance on {scheme} n={modules}: {e} vs {f}"
         );
     }
 
@@ -142,13 +110,6 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
             .expect("batch evaluation");
         black_box(&powers);
     });
-    let fast_ns = time_scan_ns(|| {
-        fast_solver.load(&array, &deltas, None).expect("fast load");
-        fast_solver
-            .evaluate_candidates(black_box(&candidates), &mut fast_powers)
-            .expect("fast batch evaluation");
-        black_box(&fast_powers);
-    });
 
     Case {
         scheme,
@@ -156,7 +117,6 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
         candidates: candidates.len(),
         legacy_ns,
         compiled_ns,
-        fast_ns,
     }
 }
 
@@ -166,35 +126,31 @@ fn render_json(cases: &[Case]) -> String {
         .map(Case::speedup)
         .fold(f64::INFINITY, f64::min);
     let mean_speedup = cases.iter().map(Case::speedup).sum::<f64>() / cases.len().max(1) as f64;
-    let max_fast_speedup = cases
-        .iter()
-        .map(Case::fast_speedup)
-        .fold(f64::NEG_INFINITY, f64::max);
     let mut out = String::from("{\n  \"bench\": \"solver_hotpath\",\n");
+    let _ = writeln!(
+        out,
+        "  \"available_parallelism\": {},",
+        available_parallelism()
+    );
     out.push_str("  \"unit\": \"ns_per_candidate_scan\",\n  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
         let _ = writeln!(
             out,
             "    {{\"scheme\": \"{}\", \"modules\": {}, \"candidates\": {}, \
-             \"legacy_ns\": {:.1}, \"compiled_ns\": {:.1}, \"fast_ns\": {:.1}, \
-             \"speedup\": {:.2}, \"fast_speedup\": {:.2}}}{comma}",
+             \"legacy_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}}}{comma}",
             case.scheme,
             case.modules,
             case.candidates,
             case.legacy_ns,
             case.compiled_ns,
-            case.fast_ns,
             case.speedup(),
-            case.fast_speedup(),
         );
     }
     let _ = writeln!(
         out,
         "  ],\n  \"min_speedup\": {min_speedup:.2},\n  \
-         \"mean_speedup\": {mean_speedup:.2},\n  \
-         \"max_fast_speedup\": {max_fast_speedup:.2},\n  \
-         \"fast_speedup_floor\": {FAST_SPEEDUP_FLOOR}\n}}"
+         \"mean_speedup\": {mean_speedup:.2}\n}}"
     );
     out
 }
@@ -209,18 +165,16 @@ fn main() -> ExitCode {
     }
 
     println!("# Candidate-scan hot path: compiled batch kernel vs legacy per-call solves");
-    println!("scheme,modules,candidates,legacy_ns,compiled_ns,fast_ns,speedup,fast_speedup");
+    println!("scheme,modules,candidates,legacy_ns,compiled_ns,speedup");
     for case in &cases {
         println!(
-            "{},{},{},{:.1},{:.1},{:.1},{:.2},{:.2}",
+            "{},{},{},{:.1},{:.1},{:.2}",
             case.scheme,
             case.modules,
             case.candidates,
             case.legacy_ns,
             case.compiled_ns,
-            case.fast_ns,
-            case.speedup(),
-            case.fast_speedup()
+            case.speedup()
         );
     }
     let min = cases
@@ -228,11 +182,6 @@ fn main() -> ExitCode {
         .map(Case::speedup)
         .fold(f64::INFINITY, f64::min);
     println!("# min speedup {min:.2}x (acceptance floor: 2x)");
-    let max_fast = cases
-        .iter()
-        .map(Case::fast_speedup)
-        .fold(f64::NEG_INFINITY, f64::max);
-    println!("# best fast-lane speedup {max_fast:.2}x (committed floor: {FAST_SPEEDUP_FLOOR}x)");
 
     let json = render_json(&cases);
     if let Err(e) = std::fs::write("BENCH_solver.json", &json) {
@@ -240,13 +189,5 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("# wrote BENCH_solver.json");
-
-    if max_fast < FAST_SPEEDUP_FLOOR {
-        eprintln!(
-            "FAIL: best fast-vs-bit-exact scan speedup {max_fast:.2}x fell below the \
-             committed floor {FAST_SPEEDUP_FLOOR}x"
-        );
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }

@@ -1,6 +1,6 @@
 //! Sweep hot-path benchmark — end-to-end cells/second of a scenario sweep
-//! with the cross-cell thermal trace cache on and off, and with the opt-in
-//! fast kernel lane against the bit-exact default.
+//! with the cross-cell thermal trace cache on and off, and with the
+//! pre-solve planner on and off.
 //!
 //! PR 4's `solver_hotpath` snapshot covers the electrical candidate scan;
 //! this binary extends the perf trajectory to the full sweep pipeline, where
@@ -8,22 +8,22 @@
 //! search dominates the paper lineup.  Before any timing it asserts the
 //! correctness contracts: the cached and uncached (isolated-trace) sweeps
 //! must produce identical cells and summaries, one worker must equal four
-//! workers bit for bit, and the fast-lane sweep must reproduce the bit-exact
-//! per-scheme summaries within a 1% relative bound.  It then times the
-//! configurations end to end, prints a table, writes `BENCH_sweep.json` and
-//! **exits non-zero** if the headline grid's cached-vs-uncached speedup, a
-//! fast-gated grid's fast-vs-bit-exact speedup, or a presolve-gated grid's
-//! planner-on throughput drops below its committed floor — so CI catches a
-//! regressing cache, fast lane, or decision/pre-solve pipeline.
+//! workers bit for bit, and the planner-on sweep must equal the planner-off
+//! one.  It then times the configurations end to end, prints a table, writes
+//! `BENCH_sweep.json` and **exits non-zero** if the headline grid's
+//! cached-vs-uncached speedup or a presolve-gated grid's planner-on
+//! throughput drops below its committed floor — so CI catches a regressing
+//! cache or decision/pre-solve pipeline.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use teg_bench::available_parallelism;
 use teg_sim::{
     FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SweepRunner,
 };
-use teg_units::{KernelMode, Seconds};
+use teg_units::Seconds;
 
 /// Fixed per-decision charge: keeps every run bit-reproducible so the
 /// equivalence gates below are exact.
@@ -34,15 +34,6 @@ const WORKERS: usize = 4;
 /// speedup.  The snapshot in `BENCH_sweep.json` shows the measured value;
 /// the floor is deliberately conservative so CI noise cannot flake the gate.
 const SPEEDUP_FLOOR: f64 = 1.5;
-/// The committed floor for the fast-gated grids' fast-vs-bit-exact speedup
-/// (both cached).  Re-based from 1.3 when the reference EHTR partition DP
-/// adopted the fast lane's flat scratch layout and a reachability bound
-/// (bit-identical outputs, pinned by the golden traces): the paper-field
-/// grid's fast edge was almost entirely that layout difference and is now
-/// ~1.0x, so the gate moved to the monitoring grid, where the fast thermal
-/// sampling path still carries a measured 1.13–1.16x.  The floor sits below
-/// the worst measured value so CI noise cannot flake the gate.
-const FAST_SPEEDUP_FLOOR: f64 = 1.05;
 /// The committed end-to-end throughput of the paper-field grid at 4 workers
 /// as of the PR-8 snapshot (cached, bit-exact, demand-solved traces), in
 /// cells per second.  The presolve gate below holds the planner-enabled run
@@ -52,23 +43,15 @@ const PRESOLVE_BASELINE_CPS: f64 = 39.7;
 /// Committed floor on `presolve_cells_per_s / PRESOLVE_BASELINE_CPS` for
 /// presolve-gated grids.
 const PRESOLVE_FLOOR: f64 = 2.0;
-/// Relative bound on the per-scheme summary statistics between the fast and
-/// bit-exact sweeps.  Per-kernel error is `1e-9`, but the fast solver's
-/// reordered sums may legally flip near-tie candidate decisions, moving
-/// delivered energy by up to a few percent on a single cell; averaged over a
-/// grid the summaries stay well inside 1%.
-const FAST_SUMMARY_TOLERANCE: f64 = 1e-2;
 
 struct GridSpec {
     name: &'static str,
     /// Whether this case enforces `SPEEDUP_FLOOR` (cache gate).
     gating: bool,
-    /// Whether this case enforces `FAST_SPEEDUP_FLOOR` (fast-lane gate).
-    fast_gating: bool,
     /// Whether this case enforces `PRESOLVE_FLOOR` against
     /// `PRESOLVE_BASELINE_CPS` (pre-solve planner gate).
     presolve_gating: bool,
-    build: fn(bool, KernelMode) -> ScenarioGrid,
+    build: fn(bool) -> ScenarioGrid,
 }
 
 /// The headline grid: a seed × fault-severity matrix over the paper's
@@ -76,12 +59,11 @@ struct GridSpec {
 /// workload whose per-step cost is dominated by the thermal solve).  Thirty-three
 /// of its 36 samples differ only by fault profile, so the cache
 /// collapses 36 trace solves to 3.
-fn monitoring_grid(shared: bool, mode: KernelMode) -> ScenarioGrid {
+fn monitoring_grid(shared: bool) -> ScenarioGrid {
     let builder = ScenarioGrid::builder()
         .module_counts([100])
         .seeds([1, 2, 3])
         .duration_seconds(160)
-        .kernel_mode(mode)
         .faults([FaultProfile::none()].into_iter().chain((0..11).map(|i| {
             // Electrical-degradation variants (aging derates and one
             // open circuit), deterministic in the cell coordinates.
@@ -128,12 +110,11 @@ fn monitoring_grid(shared: bool, mode: KernelMode) -> ScenarioGrid {
 /// end-to-end cost, which makes it the gating case for the pre-solve
 /// planner's absolute-throughput floor (the cumulative decision-memo and
 /// DP-layout wins are what move this grid).
-fn paper_grid(shared: bool, mode: KernelMode) -> ScenarioGrid {
+fn paper_grid(shared: bool) -> ScenarioGrid {
     let builder = ScenarioGrid::builder()
         .module_counts([40])
         .seeds([1, 2])
         .duration_seconds(120)
-        .kernel_mode(mode)
         .faults([
             FaultProfile::none(),
             FaultProfile::random("moderate", FaultSeverity::moderate()),
@@ -151,7 +132,6 @@ fn paper_grid(shared: bool, mode: KernelMode) -> ScenarioGrid {
 struct Case {
     name: &'static str,
     gating: bool,
-    fast_gating: bool,
     presolve_gating: bool,
     cells: usize,
     samples: usize,
@@ -161,7 +141,6 @@ struct Case {
     presolve_solved: usize,
     uncached_cps: f64,
     cached_cps: f64,
-    fast_cps: f64,
     presolve_cps: f64,
 }
 
@@ -170,17 +149,13 @@ impl Case {
         self.cached_cps / self.uncached_cps
     }
 
-    fn fast_speedup(&self) -> f64 {
-        self.fast_cps / self.cached_cps
-    }
-
     fn presolve_ratio(&self) -> f64 {
         self.presolve_cps / PRESOLVE_BASELINE_CPS
     }
 }
 
-/// Runner for the legacy columns: planner off, so `uncached_cps`,
-/// `cached_cps` and `fast_cps` keep the meaning of earlier snapshots
+/// Runner for the legacy columns: planner off, so `uncached_cps` and
+/// `cached_cps` keep the meaning of earlier snapshots
 /// (traces demand-solved by the first cell that needs them).
 fn runner(workers: usize) -> SweepRunner {
     SweepRunner::new()
@@ -197,34 +172,20 @@ fn presolve_runner(workers: usize) -> SweepRunner {
         .runtime_policy(RuntimePolicy::Fixed(CHARGE))
 }
 
-fn relative_close(a: f64, b: f64, context: &str) {
-    let scale = a.abs().max(b.abs()).max(1e-12);
-    assert!(
-        (a - b).abs() <= FAST_SUMMARY_TOLERANCE * scale,
-        "{context}: {a} vs {b} (relative {})",
-        (a - b).abs() / scale
-    );
-}
-
-/// Best-of-N end-to-end run times for all four timed configurations,
+/// Best-of-N end-to-end run times for all three timed configurations,
 /// rebuilding a cold grid outside the timed region each iteration so every
 /// run pays its own thermal solves.  The configurations are interleaved
 /// within each iteration — a transient load spike on shared hardware then
 /// hits every configuration about equally, which keeps the speedup *ratios*
 /// the gates check far more stable than timing each configuration in its
 /// own best-of-N window.
-fn time_runs_secs(build: fn(bool, KernelMode) -> ScenarioGrid) -> [f64; 4] {
-    // (shared, mode, planner-on) per slot: uncached, cached, fast, presolve.
-    let configs = [
-        (false, KernelMode::BitExact, false),
-        (true, KernelMode::BitExact, false),
-        (true, KernelMode::Fast, false),
-        (true, KernelMode::BitExact, true),
-    ];
-    let mut best = [f64::INFINITY; 4];
+fn time_runs_secs(build: fn(bool) -> ScenarioGrid) -> [f64; 3] {
+    // (shared, planner-on) per slot: uncached, cached, presolve.
+    let configs = [(false, false), (true, false), (true, true)];
+    let mut best = [f64::INFINITY; 3];
     for _ in 0..5 {
-        for (slot, &(shared, mode, presolve)) in configs.iter().enumerate() {
-            let grid = build(shared, mode);
+        for (slot, &(shared, presolve)) in configs.iter().enumerate() {
+            let grid = build(shared);
             let sweep = if presolve {
                 presolve_runner(WORKERS)
             } else {
@@ -243,16 +204,10 @@ fn time_runs_secs(build: fn(bool, KernelMode) -> ScenarioGrid) -> [f64; 4] {
 fn measure(spec: &GridSpec) -> Case {
     // Correctness gates first: sharing must be observationally invisible
     // (identical cells and summaries cached vs isolated; the solve *count*
-    // legitimately differs), worker-count independent, and the fast lane
-    // must reproduce the bit-exact summaries within the documented bound.
-    let exact = KernelMode::BitExact;
-    let cached_serial = runner(1).run(&(spec.build)(true, exact)).expect("serial");
-    let cached_parallel = runner(WORKERS)
-        .run(&(spec.build)(true, exact))
-        .expect("parallel");
-    let isolated = runner(WORKERS)
-        .run(&(spec.build)(false, exact))
-        .expect("isolated");
+    // legitimately differs) and worker-count independent.
+    let cached_serial = runner(1).run(&(spec.build)(true)).expect("serial");
+    let cached_parallel = runner(WORKERS).run(&(spec.build)(true)).expect("parallel");
+    let isolated = runner(WORKERS).run(&(spec.build)(false)).expect("isolated");
     assert_eq!(
         cached_serial, cached_parallel,
         "{}: cached sweep must be worker-count independent",
@@ -271,7 +226,7 @@ fn measure(spec: &GridSpec) -> Case {
         spec.name
     );
     let presolved = presolve_runner(WORKERS)
-        .run(&(spec.build)(true, exact))
+        .run(&(spec.build)(true))
         .expect("presolved sweep");
     assert_eq!(
         cached_parallel, presolved,
@@ -282,32 +237,13 @@ fn measure(spec: &GridSpec) -> Case {
         .presolve()
         .copied()
         .expect("planner-on run records presolve stats");
-    let fast = runner(WORKERS)
-        .run(&(spec.build)(true, KernelMode::Fast))
-        .expect("fast sweep");
-    assert_eq!(fast.summaries().len(), cached_parallel.summaries().len());
-    for (e, f) in cached_parallel.summaries().iter().zip(fast.summaries()) {
-        assert_eq!(e.scheme(), f.scheme());
-        relative_close(
-            e.mean_net_energy().value(),
-            f.mean_net_energy().value(),
-            &format!("{}: {} fast-lane mean net energy", spec.name, e.scheme()),
-        );
-        relative_close(
-            e.mean_power_ratio(),
-            f.mean_power_ratio(),
-            &format!("{}: {} fast-lane mean power ratio", spec.name, e.scheme()),
-        );
-    }
-
-    let shared_grid = (spec.build)(true, exact);
-    let isolated_grid = (spec.build)(false, exact);
-    let [uncached_secs, cached_secs, fast_secs, presolve_secs] = time_runs_secs(spec.build);
+    let shared_grid = (spec.build)(true);
+    let isolated_grid = (spec.build)(false);
+    let [uncached_secs, cached_secs, presolve_secs] = time_runs_secs(spec.build);
     let cells = shared_grid.len();
     Case {
         name: spec.name,
         gating: spec.gating,
-        fast_gating: spec.fast_gating,
         presolve_gating: spec.presolve_gating,
         cells,
         samples: shared_grid.samples().len(),
@@ -317,7 +253,6 @@ fn measure(spec: &GridSpec) -> Case {
         presolve_solved: stats.solved(),
         uncached_cps: cells as f64 / uncached_secs,
         cached_cps: cells as f64 / cached_secs,
-        fast_cps: cells as f64 / fast_secs,
         presolve_cps: cells as f64 / presolve_secs,
     }
 }
@@ -328,11 +263,6 @@ fn render_json(cases: &[Case]) -> String {
         .filter(|c| c.gating)
         .map(Case::speedup)
         .fold(f64::INFINITY, f64::min);
-    let fast_gating_speedup = cases
-        .iter()
-        .filter(|c| c.fast_gating)
-        .map(Case::fast_speedup)
-        .fold(f64::INFINITY, f64::min);
     let presolve_gating_ratio = cases
         .iter()
         .filter(|c| c.presolve_gating)
@@ -340,7 +270,11 @@ fn render_json(cases: &[Case]) -> String {
         .fold(f64::INFINITY, f64::min);
     let mut out = String::from("{\n  \"bench\": \"sweep_hotpath\",\n");
     out.push_str("  \"unit\": \"cells_per_second\",\n");
-    let _ = writeln!(out, "  \"workers\": {WORKERS},\n  \"cases\": [");
+    let _ = writeln!(
+        out,
+        "  \"available_parallelism\": {},\n  \"workers\": {WORKERS},\n  \"cases\": [",
+        available_parallelism()
+    );
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
         let _ = writeln!(
@@ -349,10 +283,8 @@ fn render_json(cases: &[Case]) -> String {
              \"unique_thermal_solves\": {}, \"isolated_thermal_solves\": {}, \
              \"presolve_planned\": {}, \"presolve_solved\": {}, \
              \"uncached_cells_per_s\": {:.1}, \"cached_cells_per_s\": {:.1}, \
-             \"fast_cells_per_s\": {:.1}, \"presolve_cells_per_s\": {:.1}, \
-             \"speedup\": {:.2}, \"fast_speedup\": {:.2}, \
-             \"gating\": {}, \"fast_gating\": {}, \
-             \"presolve_gating\": {}}}{comma}",
+             \"presolve_cells_per_s\": {:.1}, \"speedup\": {:.2}, \
+             \"gating\": {}, \"presolve_gating\": {}}}{comma}",
             case.name,
             case.cells,
             case.samples,
@@ -362,12 +294,9 @@ fn render_json(cases: &[Case]) -> String {
             case.presolve_solved,
             case.uncached_cps,
             case.cached_cps,
-            case.fast_cps,
             case.presolve_cps,
             case.speedup(),
-            case.fast_speedup(),
             case.gating,
-            case.fast_gating,
             case.presolve_gating,
         );
     }
@@ -375,8 +304,6 @@ fn render_json(cases: &[Case]) -> String {
         out,
         "  ],\n  \"gating_speedup\": {gating_speedup:.2},\n  \
          \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
-         \"fast_gating_speedup\": {fast_gating_speedup:.2},\n  \
-         \"fast_speedup_floor\": {FAST_SPEEDUP_FLOOR},\n  \
          \"presolve_baseline_cells_per_s\": {PRESOLVE_BASELINE_CPS},\n  \
          \"presolve_gating_ratio\": {presolve_gating_ratio:.2},\n  \
          \"presolve_floor\": {PRESOLVE_FLOOR}\n}}"
@@ -389,28 +316,26 @@ fn main() -> ExitCode {
         GridSpec {
             name: "monitoring-100mod",
             gating: true,
-            fast_gating: true,
             presolve_gating: false,
             build: monitoring_grid,
         },
         GridSpec {
             name: "paper-field-40mod",
             gating: false,
-            fast_gating: false,
             presolve_gating: true,
             build: paper_grid,
         },
     ];
     let cases: Vec<Case> = specs.iter().map(measure).collect();
 
-    println!("# Sweep hot path: shared trace cache, fast kernel lane, pre-solve planner");
+    println!("# Sweep hot path: shared trace cache, pre-solve planner");
     println!(
         "grid,cells,samples,unique_solves,isolated_solves,presolve_planned,presolve_solved,\
-         uncached_cps,cached_cps,fast_cps,presolve_cps,speedup,fast_speedup"
+         uncached_cps,cached_cps,presolve_cps,speedup"
     );
     for case in &cases {
         println!(
-            "{},{},{},{},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.2},{:.2}",
+            "{},{},{},{},{},{},{},{:.1},{:.1},{:.1},{:.2}",
             case.name,
             case.cells,
             case.samples,
@@ -420,10 +345,8 @@ fn main() -> ExitCode {
             case.presolve_solved,
             case.uncached_cps,
             case.cached_cps,
-            case.fast_cps,
             case.presolve_cps,
-            case.speedup(),
-            case.fast_speedup()
+            case.speedup()
         );
     }
 
@@ -445,21 +368,6 @@ fn main() -> ExitCode {
             eprintln!(
                 "FAIL: {} cached-vs-uncached speedup {speedup:.2}x fell below the \
                  committed floor {SPEEDUP_FLOOR}x",
-                case.name
-            );
-            ok = false;
-        }
-    }
-    for case in cases.iter().filter(|c| c.fast_gating) {
-        let speedup = case.fast_speedup();
-        println!(
-            "# {} fast-lane speedup {speedup:.2}x (committed floor: {FAST_SPEEDUP_FLOOR}x)",
-            case.name
-        );
-        if speedup < FAST_SPEEDUP_FLOOR {
-            eprintln!(
-                "FAIL: {} fast-vs-bit-exact speedup {speedup:.2}x fell below the \
-                 committed floor {FAST_SPEEDUP_FLOOR}x",
                 case.name
             );
             ok = false;

@@ -57,6 +57,14 @@ pub fn exponential_temperatures(n: usize, hot: f64, decay: f64, ambient: f64) ->
         .collect()
 }
 
+/// The number of threads the host can run in parallel, recorded in every
+/// `BENCH_*.json` so a committed throughput figure names the hardware it
+/// was measured on.  Falls back to 1 when the platform cannot say.
+#[must_use]
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,5 +79,6 @@ mod tests {
         let temps = exponential_temperatures(10, 70.0, 1.0, 25.0);
         assert!((temps[0] - 95.0).abs() < 1e-9);
         assert!(temps[9] > 25.0);
+        assert!(available_parallelism() >= 1);
     }
 }

@@ -28,7 +28,7 @@
 //! sets — INOR's balanced partitions and EHTR's least-imbalance DP
 //! partitions for every feasible group count — plus the currently applied
 //! wiring, so the search result is **never worse than the best greedy
-//! proposal** under the same kernel lane.
+//! proposal**.
 //!
 //! # Determinism
 //!
@@ -45,7 +45,7 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use teg_array::{ArraySolver, Configuration, GroupSumMemo, TegArray};
-use teg_units::{Amps, KernelMode, Seconds, TemperatureDelta, Watts};
+use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::ehtr::Ehtr;
 use crate::error::ReconfigError;
@@ -220,7 +220,6 @@ pub struct AcoReconfigurer {
     /// Embedded INOR: supplies the group-count window and the balanced
     /// partitions seeding the colony.
     inner: Inor,
-    mode: KernelMode,
     rng: ChaCha8Rng,
 }
 
@@ -232,7 +231,6 @@ impl AcoReconfigurer {
         Self {
             inner: Inor::new(config.inor.clone()),
             config,
-            mode: KernelMode::default(),
             rng,
         }
     }
@@ -241,12 +239,6 @@ impl AcoReconfigurer {
     #[must_use]
     pub const fn config(&self) -> &AcoConfig {
         &self.config
-    }
-
-    /// The kernel mode the fitness evaluations run in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Runs one full colony search on the given ΔT vector, returning the
@@ -276,11 +268,7 @@ impl AcoReconfigurer {
         let mut population: Vec<Configuration> = Vec::with_capacity(2 * (n_max - n_min + 1) + 1);
         for n in n_min..=n_max {
             let balanced = Inor::balanced_partition(&mpp_currents, n);
-            let dp = if self.mode.is_fast() {
-                Ehtr::optimal_partition_fast(&mpp_currents, n)
-            } else {
-                Ehtr::optimal_partition(&mpp_currents, n)
-            };
+            let dp = Ehtr::optimal_partition(&mpp_currents, n);
             if !population.contains(&balanced) {
                 population.push(balanced);
             }
@@ -294,7 +282,7 @@ impl AcoReconfigurer {
             }
         }
 
-        let mut solver = ArraySolver::with_mode(self.mode);
+        let mut solver = ArraySolver::new();
         solver.load(array, deltas, None)?;
         let mut memo = GroupSumMemo::new();
         let mut powers = Vec::with_capacity(population.len());
@@ -482,11 +470,6 @@ impl Reconfigurer for AcoReconfigurer {
         // Rewind the colony's randomness to the seed: a reset scheme
         // reproduces its decision schedule bit for bit.
         self.rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-    }
-
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.mode = mode;
-        self.inner.set_kernel_mode(mode);
     }
 }
 

@@ -364,7 +364,7 @@ impl Reconfigurer for Dnor {
         }
 
         self.evaluations += 1;
-        let mut solver = ArraySolver::with_mode(self.inner.kernel_mode());
+        let mut solver = ArraySolver::new();
         let current_deltas = window.current_deltas();
         let (candidate, _) =
             self.inner
@@ -405,12 +405,6 @@ impl Reconfigurer for Dnor {
         self.periods_until_evaluation = 0;
         self.evaluations = 0;
         self.switches = 0;
-    }
-
-    fn set_kernel_mode(&mut self, mode: teg_units::KernelMode) {
-        // The inner INOR performs every numerical solve DNOR makes, so
-        // forwarding covers the whole scheme.
-        self.inner.set_kernel_mode(mode);
     }
 }
 

@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use teg_array::{ArraySolver, Configuration, TegArray};
-use teg_units::{Amps, KernelMode, Seconds, TemperatureDelta, Watts};
+use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
 use crate::inor::{pick_best_candidate, Inor, InorConfig};
@@ -48,7 +48,6 @@ use crate::traits::{ReconfigDecision, Reconfigurer};
 #[derive(Debug, Clone, Default)]
 pub struct Ehtr {
     config: InorConfig,
-    mode: KernelMode,
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step, and the DP is ~95 % of a decide.
     memo: Option<DecisionMemo>,
@@ -57,7 +56,7 @@ pub struct Ehtr {
 /// The memo caches derived state only, so it stays out of scheme identity.
 impl PartialEq for Ehtr {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.mode == other.mode
+        self.config == other.config
     }
 }
 
@@ -66,23 +65,13 @@ impl Ehtr {
     /// efficiency floor, period) so comparisons are apples-to-apples.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self {
-            config,
-            mode: KernelMode::default(),
-            memo: None,
-        }
+        Self { config, memo: None }
     }
 
     /// The tuning parameters in use.
     #[must_use]
     pub const fn config(&self) -> &InorConfig {
         &self.config
-    }
-
-    /// The kernel mode the DP and the candidate scan run in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Optimal (least-squared-imbalance) partition of the chain into `n`
@@ -96,16 +85,19 @@ impl Ehtr {
         Self::optimal_partition_with(mpp_currents, n, &mut PartitionScratch::default())
     }
 
-    /// The reference DP over reusable flat tables.
+    /// The DP over reusable flat tables, with a 4-wide
+    /// instruction-parallel min-scan of the inner boundary loop.
     ///
-    /// Every cost is evaluated with the original operation order
-    /// (`cost[j-1][k] + ((prefix[i] − prefix[k]) − ideal)²`, strict-`<`
-    /// first-minimum scan), so the returned partition is bit-identical to
-    /// the nested-table formulation this replaced; the layout change and
-    /// the reachability bound below are pure speed.  States `cost[j][i]`
-    /// with `i > modules − (n−1−j)` cannot leave a module for each of the
+    /// Every candidate cost is evaluated with the reference operation order
+    /// (`cost[j-1][k] + ((prefix[i] − prefix[k]) − ideal)²`), and the lane
+    /// merge resolves ties by the smallest boundary exactly as a serial
+    /// strict-`<` first-minimum scan does, so the returned partition is
+    /// identical to the serial DP's; the speed comes from breaking the
+    /// scan's dependency chain.  States `cost[j][i]` with
+    /// `i > modules − (n−1−j)` cannot leave a module for each of the
     /// `n−1−j` groups still to come, so neither a later layer nor the
-    /// reconstruction ever reads them and the DP skips computing them.
+    /// reconstruction ever reads them and the DP skips computing them.  The
+    /// serial DP survives as the test oracle that pins the identity.
     fn optimal_partition_with(
         mpp_currents: &[Amps],
         n: usize,
@@ -149,102 +141,6 @@ impl Ehtr {
         }
         for j in 1..n {
             let row = j * width;
-            let reachable = modules - (n - 1 - j);
-            for i in (j + 1)..=reachable {
-                let pi = prefix[i];
-                let mut best = f64::INFINITY;
-                let mut best_k = 0usize;
-                for k in j..i {
-                    let sum = pi - prefix[k];
-                    let d = sum - ideal;
-                    let candidate = cost_prev[k] + d * d;
-                    if candidate < best {
-                        best = candidate;
-                        best_k = k;
-                    }
-                }
-                cost_cur[i] = best;
-                choice[row + i] = best_k as u32;
-            }
-            std::mem::swap(cost_prev, cost_cur);
-        }
-
-        // Reconstruct the boundaries.
-        let mut starts = vec![0usize; n];
-        let mut end = modules;
-        for j in (1..n).rev() {
-            let boundary = choice[j * width + end] as usize;
-            starts[j] = boundary;
-            end = boundary;
-        }
-        Configuration::new(starts, modules).expect("DP partition is always valid")
-    }
-
-    /// The [`KernelMode::Fast`] lane of [`Ehtr::optimal_partition`]: the
-    /// same dynamic program over flat scratch tables with a 4-wide
-    /// instruction-parallel min-scan of the inner boundary loop.
-    ///
-    /// Every candidate cost is evaluated with the reference operation order
-    /// (`cost[j-1][k] + ((prefix[i] − prefix[k]) − ideal)²`), and the
-    /// vectorised scan resolves ties by the smallest boundary exactly as the
-    /// serial strict-`<` scan does, so **the returned partition is
-    /// identical** to the bit-exact lane's — the speed comes from breaking
-    /// the scan's dependency chain and from reusing flat buffers instead of
-    /// allocating `2n` nested rows per call.  The equivalence test below
-    /// pins the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds the number of modules.
-    #[must_use]
-    pub fn optimal_partition_fast(mpp_currents: &[Amps], n: usize) -> Configuration {
-        Self::optimal_partition_fast_with(mpp_currents, n, &mut PartitionScratch::default())
-    }
-
-    fn optimal_partition_fast_with(
-        mpp_currents: &[Amps],
-        n: usize,
-        scratch: &mut PartitionScratch,
-    ) -> Configuration {
-        let modules = mpp_currents.len();
-        assert!(
-            n >= 1 && n <= modules,
-            "group count {n} out of range for {modules} modules"
-        );
-        let total: f64 = mpp_currents.iter().map(|c| c.value()).sum();
-        let ideal = total / n as f64;
-
-        let width = modules + 1;
-        let PartitionScratch {
-            prefix,
-            cost_prev,
-            cost_cur,
-            choice,
-        } = scratch;
-        prefix.clear();
-        prefix.reserve(width);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for c in mpp_currents {
-            acc += c.value();
-            prefix.push(acc);
-        }
-        cost_prev.clear();
-        cost_prev.resize(width, f64::INFINITY);
-        cost_cur.clear();
-        cost_cur.resize(width, f64::INFINITY);
-        choice.clear();
-        choice.resize(n * width, 0);
-
-        for i in 1..=(modules - (n - 1)) {
-            let sum = prefix[i] - prefix[0];
-            let d = sum - ideal;
-            cost_prev[i] = d * d;
-        }
-        for j in 1..n {
-            let row = j * width;
-            // Same reachability bound as the reference lane: states that
-            // leave fewer modules than remaining groups are never read.
             let reachable = modules - (n - 1 - j);
             for i in (j + 1)..=reachable {
                 let pi = prefix[i];
@@ -308,6 +204,7 @@ impl Ehtr {
             std::mem::swap(cost_prev, cost_cur);
         }
 
+        // Reconstruct the boundaries.
         let mut starts = vec![0usize; n];
         let mut end = modules;
         for j in (1..n).rev() {
@@ -330,7 +227,7 @@ impl Ehtr {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        self.optimise_with(&mut ArraySolver::with_mode(self.mode), array, deltas)
+        self.optimise_with(&mut ArraySolver::new(), array, deltas)
     }
 
     /// [`Ehtr::optimise`] evaluating its candidates through a caller-owned
@@ -350,30 +247,17 @@ impl Ehtr {
         let mpp_currents = array.mpp_currents(deltas)?;
         let inor_view = Inor::new(self.config.clone());
         let (n_min, n_max) = inor_view.group_bounds(array, deltas);
-        let candidates: Vec<Configuration> = match self.mode {
-            KernelMode::BitExact => {
-                // The same flat scratch reuse as the fast lane — a layout
-                // change only; the reference arithmetic is untouched.
-                let mut scratch = PartitionScratch::default();
-                (n_min..=n_max)
-                    .map(|n| Self::optimal_partition_with(&mpp_currents, n, &mut scratch))
-                    .collect()
-            }
-            KernelMode::Fast => {
-                // One flat scratch shared by every group count: the DP is
-                // ~95 % of an EHTR decide, so the fast lane's gains live
-                // here.
-                let mut scratch = PartitionScratch::default();
-                (n_min..=n_max)
-                    .map(|n| Self::optimal_partition_fast_with(&mpp_currents, n, &mut scratch))
-                    .collect()
-            }
-        };
+        // One flat scratch shared by every group count: the DP is ~95 % of
+        // an EHTR decide.
+        let mut scratch = PartitionScratch::default();
+        let candidates: Vec<Configuration> = (n_min..=n_max)
+            .map(|n| Self::optimal_partition_with(&mpp_currents, n, &mut scratch))
+            .collect();
         pick_best_candidate(solver, array, deltas, candidates)
     }
 }
 
-/// Reusable flat DP tables for [`Ehtr::optimal_partition_fast_with`]:
+/// Reusable flat DP tables for [`Ehtr::optimal_partition_with`]:
 /// `prefix` sums, the previous/current cost rows, and the full boundary
 /// (`choice`) table in row-major order.
 #[derive(Debug, Clone, Default)]
@@ -416,18 +300,12 @@ impl Reconfigurer for Ehtr {
     fn reset(&mut self) {
         self.memo = None;
     }
-
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        if mode != self.mode {
-            self.memo = None;
-        }
-        self.mode = mode;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use teg_array::ideal_power;
     use teg_device::{TegDatasheet, TegModule};
     use teg_units::Celsius;
@@ -483,46 +361,106 @@ mod tests {
         }
     }
 
+    /// The serial DP the 4-wide scan replaced: a strict-`<` first-minimum
+    /// scan over every boundary, kept as the oracle the production DP must
+    /// match partition for partition.
+    fn serial_partition(mpp_currents: &[Amps], n: usize) -> Configuration {
+        let modules = mpp_currents.len();
+        assert!(n >= 1 && n <= modules);
+        let total: f64 = mpp_currents.iter().map(|c| c.value()).sum();
+        let ideal = total / n as f64;
+
+        let width = modules + 1;
+        let mut prefix = Vec::with_capacity(width);
+        prefix.push(0.0);
+        let mut acc = 0.0;
+        for c in mpp_currents {
+            acc += c.value();
+            prefix.push(acc);
+        }
+        let mut cost_prev = vec![f64::INFINITY; width];
+        let mut cost_cur = vec![f64::INFINITY; width];
+        let mut choice = vec![0usize; n * width];
+
+        for i in 1..=(modules - (n - 1)) {
+            let d = (prefix[i] - prefix[0]) - ideal;
+            cost_prev[i] = d * d;
+        }
+        for j in 1..n {
+            let reachable = modules - (n - 1 - j);
+            for i in (j + 1)..=reachable {
+                let mut best = f64::INFINITY;
+                let mut best_k = 0usize;
+                for k in j..i {
+                    let d = (prefix[i] - prefix[k]) - ideal;
+                    let candidate = cost_prev[k] + d * d;
+                    if candidate < best {
+                        best = candidate;
+                        best_k = k;
+                    }
+                }
+                cost_cur[i] = best;
+                choice[j * width + i] = best_k;
+            }
+            std::mem::swap(&mut cost_prev, &mut cost_cur);
+        }
+
+        let mut starts = vec![0usize; n];
+        let mut end = modules;
+        for j in (1..n).rev() {
+            starts[j] = choice[j * width + end];
+            end = starts[j];
+        }
+        Configuration::new(starts, modules).expect("DP partition is always valid")
+    }
+
+    /// Current levels that are exact binary fractions, so equal-sum groups
+    /// tie exactly and the lane merge's tie-break decides the partition.
+    const LEVELS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
+
     #[test]
-    fn fast_dp_returns_the_exact_partition() {
-        // The vectorised DP evaluates every candidate with the reference
-        // operation order and tie-breaks identically, so the fast lane's
-        // partition must equal the serial one — not just approximate it.
+    fn dp_matches_the_serial_oracle_on_decays_and_plateaus() {
         for (count, decay) in [(7usize, 0.25), (24, 0.07), (40, 0.07), (61, 0.02)] {
             let currents: Vec<Amps> = (0..count)
                 .map(|i| Amps::new(2.0 * (-(i as f64) * decay).exp()))
                 .collect();
-            for n in 1..=count.min(13) {
-                let exact = Ehtr::optimal_partition(&currents, n);
-                let fast = Ehtr::optimal_partition_fast(&currents, n);
-                assert_eq!(exact, fast, "count={count} n={n}");
+            for n in 1..=count {
+                assert_eq!(
+                    Ehtr::optimal_partition(&currents, n),
+                    serial_partition(&currents, n),
+                    "count={count} n={n}"
+                );
             }
         }
-        // Plateaus of equal currents exercise the tie-break on every merge.
         let flat = vec![Amps::new(1.0); 32];
-        for n in 1..=12 {
+        for n in 1..=32 {
             assert_eq!(
                 Ehtr::optimal_partition(&flat, n),
-                Ehtr::optimal_partition_fast(&flat, n),
+                serial_partition(&flat, n),
                 "flat n={n}"
             );
         }
     }
 
-    #[test]
-    fn fast_mode_optimise_matches_bit_exact_partitions() {
-        let a = array(40);
-        let deltas = radiator_like_deltas(40);
-        let exact = Ehtr::default();
-        let mut fast = Ehtr::default();
-        fast.set_kernel_mode(KernelMode::Fast);
-        assert_eq!(fast.kernel_mode(), KernelMode::Fast);
-        let (ce, pe) = exact.optimise(&a, &deltas).unwrap();
-        let (cf, pf) = fast.optimise(&a, &deltas).unwrap();
-        // The DP partitions are identical; the candidate powers may differ
-        // only by the solver's chunked-sum rounding.
-        assert_eq!(ce, cf);
-        assert!(teg_units::approx_eq(pe.value(), pf.value(), 1e-12));
+    proptest! {
+        /// The 4-wide DP returns the serial oracle's partition for every
+        /// group count, on chains built from plateaus of a few current
+        /// levels — the inputs where exact cost ties are common.
+        #[test]
+        fn prop_dp_matches_the_serial_oracle(
+            levels in collection::vec(0usize..4, 1..161),
+            plateau in 1usize..9,
+        ) {
+            let currents: Vec<Amps> = (0..levels.len())
+                .map(|i| Amps::new(LEVELS[levels[i - i % plateau]]))
+                .collect();
+            for n in 1..=currents.len() {
+                prop_assert_eq!(
+                    Ehtr::optimal_partition(&currents, n),
+                    serial_partition(&currents, n)
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use teg_array::{ArraySolver, Configuration, TegArray};
 use teg_power::Charger;
-use teg_units::{Amps, KernelMode, Seconds, TemperatureDelta, Watts};
+use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
 use crate::memo::DecisionMemo;
@@ -118,7 +118,6 @@ impl Default for InorConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Inor {
     config: InorConfig,
-    mode: KernelMode,
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step.
     memo: Option<DecisionMemo>,
@@ -127,7 +126,7 @@ pub struct Inor {
 /// The memo caches derived state only, so it stays out of scheme identity.
 impl PartialEq for Inor {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.mode == other.mode
+        self.config == other.config
     }
 }
 
@@ -135,23 +134,13 @@ impl Inor {
     /// Creates INOR with explicit tuning parameters.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self {
-            config,
-            mode: KernelMode::default(),
-            memo: None,
-        }
+        Self { config, memo: None }
     }
 
     /// The tuning parameters in use.
     #[must_use]
     pub const fn config(&self) -> &InorConfig {
         &self.config
-    }
-
-    /// The kernel mode the candidate scans run in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Derives the feasible group-count window `[n_min, n_max]` from the
@@ -240,7 +229,7 @@ impl Inor {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        self.optimise_with(&mut ArraySolver::with_mode(self.mode), array, deltas)
+        self.optimise_with(&mut ArraySolver::new(), array, deltas)
     }
 
     /// [`Inor::optimise`] evaluating its candidates through a caller-owned
@@ -325,13 +314,6 @@ impl Reconfigurer for Inor {
 
     fn reset(&mut self) {
         self.memo = None;
-    }
-
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        if mode != self.mode {
-            self.memo = None;
-        }
-        self.mode = mode;
     }
 }
 

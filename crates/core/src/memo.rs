@@ -11,8 +11,7 @@
 //! construction.
 //!
 //! The memo is invalidated by [`Reconfigurer::reset`] (sessions reset their
-//! scheme before the first step, so a memo never leaks across arrays) and by
-//! kernel-mode changes (the candidate scan's tie-breaking is mode-exact).
+//! scheme before the first step, so a memo never leaks across arrays).
 //!
 //! [`Reconfigurer::reset`]: crate::Reconfigurer::reset
 

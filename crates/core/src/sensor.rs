@@ -20,7 +20,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use teg_units::{Celsius, KernelMode};
+use teg_units::Celsius;
 
 use crate::error::ReconfigError;
 
@@ -84,10 +84,6 @@ pub struct SensorFaultInjector {
     held: Vec<Option<f64>>,
     rng: ChaCha8Rng,
     active: usize,
-    mode: KernelMode,
-    /// Scratch of (module, sigma) pairs the fast lane batches its Gaussian
-    /// draws over.
-    noisy: Vec<(u32, f64)>,
 }
 
 impl SensorFaultInjector {
@@ -110,23 +106,7 @@ impl SensorFaultInjector {
             held: vec![None; module_count],
             rng: ChaCha8Rng::seed_from_u64(seed),
             active: 0,
-            mode: KernelMode::default(),
-            noisy: Vec::new(),
         })
-    }
-
-    /// The kernel mode the corruption path runs in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Selects the corruption lane.  Both lanes consume the seeded stream
-    /// in the same order with the same Box–Muller formula, so the corrupted
-    /// rows are bit-identical — [`KernelMode::Fast`] only batches the draws
-    /// of a whole telemetry row after the RNG-free faults are resolved.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.mode = mode;
     }
 
     /// Number of sensors covered.
@@ -227,10 +207,6 @@ impl SensorFaultInjector {
         if self.active == 0 {
             return Ok(());
         }
-        if self.mode.is_fast() {
-            self.corrupt_fast(row, ambient);
-            return Ok(());
-        }
         // Indexing three parallel per-module vectors; an iterator zip would
         // fight the borrow on `self.rng` inside the noise arm.
         #[allow(clippy::needless_range_loop)]
@@ -248,32 +224,6 @@ impl SensorFaultInjector {
             }
         }
         Ok(())
-    }
-
-    /// The [`KernelMode::Fast`] corruption lane: resolves the RNG-free
-    /// faults in one pass while collecting the noisy modules, then batches
-    /// all of the row's Gaussian draws in a second pass.  The draws consume
-    /// the stream in module order with the reference formula, so the
-    /// corrupted row is bit-identical to the in-line lane's.
-    fn corrupt_fast(&mut self, row: &mut [f64], ambient: Celsius) {
-        self.noisy.clear();
-        #[allow(clippy::needless_range_loop)]
-        for module in 0..self.faults.len() {
-            match self.faults[module] {
-                None => {}
-                Some(SensorFault::Dropout) => row[module] = ambient.value(),
-                Some(SensorFault::Stuck) => {
-                    let held = *self.held[module].get_or_insert(row[module]);
-                    row[module] = held;
-                }
-                Some(SensorFault::Noisy { sigma }) => self.noisy.push((module as u32, sigma)),
-            }
-        }
-        for i in 0..self.noisy.len() {
-            let (module, sigma) = self.noisy[i];
-            let draw = self.standard_normal();
-            row[module as usize] += sigma * draw;
-        }
     }
 
     /// One standard-normal draw via Box–Muller on the seeded ChaCha stream.
@@ -365,37 +315,6 @@ mod tests {
         // Zero-mean, sane spread: every draw within 6 sigma of the truth.
         for v in run(5) {
             assert!((v - 80.0).abs() < 12.0, "noise sample {v} too extreme");
-        }
-    }
-
-    #[test]
-    fn fast_lane_corrupts_rows_bit_identically() {
-        let build = |mode: KernelMode| {
-            let mut injector = SensorFaultInjector::new(6, 11).unwrap();
-            injector.set_kernel_mode(mode);
-            injector.set_fault(0, SensorFault::Dropout).unwrap();
-            injector.set_fault(2, SensorFault::Stuck).unwrap();
-            injector
-                .set_fault(3, SensorFault::Noisy { sigma: 1.5 })
-                .unwrap();
-            injector
-                .set_fault(5, SensorFault::Noisy { sigma: 0.3 })
-                .unwrap();
-            injector
-        };
-        let mut exact = build(KernelMode::BitExact);
-        let mut fast = build(KernelMode::Fast);
-        assert_eq!(fast.kernel_mode(), KernelMode::Fast);
-        for step in 0..64 {
-            let base: Vec<f64> = (0..6)
-                .map(|m| 90.0 - m as f64 * 2.0 - step as f64)
-                .collect();
-            let mut a = base.clone();
-            let mut b = base;
-            exact.corrupt(&mut a, AMBIENT).unwrap();
-            fast.corrupt(&mut b, AMBIENT).unwrap();
-            let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "step {step}");
         }
     }
 

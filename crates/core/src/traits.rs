@@ -1,7 +1,7 @@
 //! The common interface of all reconfiguration schemes.
 
 use teg_array::Configuration;
-use teg_units::{KernelMode, Seconds};
+use teg_units::Seconds;
 
 use crate::error::ReconfigError;
 use crate::telemetry::TelemetryWindow;
@@ -150,16 +150,6 @@ pub trait Reconfigurer: Send {
     /// Resets any internal state (fitted predictors, evaluation phase).  The
     /// default implementation does nothing, which suits stateless schemes.
     fn reset(&mut self) {}
-
-    /// Selects the [`KernelMode`] the scheme's internal solves run in.
-    ///
-    /// The simulation session calls this once at construction with the
-    /// scenario's mode, so a Fast scenario runs Fast candidate scans end to
-    /// end.  The default implementation ignores the mode, which suits
-    /// schemes with no numerical inner loop (the static baseline).
-    fn set_kernel_mode(&mut self, mode: KernelMode) {
-        let _ = mode;
-    }
 }
 
 #[cfg(test)]

@@ -453,37 +453,27 @@ mod tests {
     }
 
     #[test]
-    fn kernel_mode_rides_the_grid_token_over_the_wire() {
-        use teg_units::KernelMode;
-
+    fn a_kernel_axis_is_refused_and_the_default_payload_is_unchanged() {
         let base = GridSpec::parse("modules=8,12|seeds=1,2|drive=city:15").unwrap();
-        // A bit-exact (default) request omits the kernel field entirely, so
-        // frames from clients that predate kernel modes are byte-identical
-        // to frames from clients that spell the default out.
-        let exact = SubmitRequest {
+        let request = SubmitRequest {
             id: "exact-sweep".into(),
-            grid: base.clone(),
+            grid: base,
             policy: RuntimePolicy::Measured,
         };
-        let exact_payload = exact.encode().unwrap();
-        assert!(!exact_payload.contains("kernel"), "{exact_payload}");
+        let payload = request.encode().unwrap();
         assert_eq!(
-            exact_payload,
+            payload,
             "id exact-sweep\ngrid modules=8,12|seeds=1,2|drive=city:15|var=none|fault=healthy|lineup=paper\npolicy measured\n"
         );
-        // A fast-lane request carries the mode inside the grid token — no
-        // protocol change — and decodes back to a fast grid on the daemon.
-        let fast = SubmitRequest {
-            id: "fast-sweep".into(),
-            grid: base.kernel_mode(KernelMode::Fast),
-            policy: RuntimePolicy::Measured,
-        };
-        let fast_payload = fast.encode().unwrap();
-        assert!(fast_payload.contains("|kernel=fast\n"), "{fast_payload}");
-        let decoded = SubmitRequest::decode(&fast_payload).unwrap();
-        assert!(decoded.grid.spec().unwrap().ends_with("|kernel=fast"));
-        let grid = decoded.grid.to_builder().build().unwrap();
-        assert_eq!(grid.kernel_mode(), KernelMode::Fast);
+        // There is one kernel per job, so a grid naming a kernel axis is an
+        // unknown-axis grid and the daemon refuses it as malformed.
+        let with_kernel = payload.replace("lineup=paper\n", "lineup=paper|kernel=fast\n");
+        match SubmitRequest::decode(&with_kernel) {
+            Err(WireError::Malformed { reason }) => {
+                assert!(reason.contains("\"kernel\""), "{reason}");
+            }
+            other => panic!("expected a malformed-grid error, got {other:?}"),
+        }
     }
 
     #[test]

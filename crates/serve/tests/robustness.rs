@@ -450,15 +450,16 @@ fn resilient_client_rides_out_busy_rejections() {
     })
     .unwrap();
     let addr = server.addr();
-    // Occupy the only admission slot with a slow sweep...
+    // Occupy the only admission slot with a slow sweep, and wait for its
+    // admission so the latecomer cannot take the slot first...
+    let (admitted_tx, admitted) = std::sync::mpsc::channel();
     let occupant = std::thread::spawn(move || {
-        ServeClient::connect(addr)
-            .unwrap()
-            .submit(&request("occupant", SLOW))
-            .unwrap()
-            .into_report()
-            .unwrap()
+        let mut client = ServeClient::connect(addr).unwrap();
+        let stream = client.submit(&request("occupant", SLOW)).unwrap();
+        admitted_tx.send(()).unwrap();
+        stream.into_report().unwrap()
     });
+    admitted.recv().unwrap();
     // ...then let the resilient client retry through the busy window.
     let latecomer = ResilientClient::new(addr.to_string())
         .retry_policy(RetryPolicy {

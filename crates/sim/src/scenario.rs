@@ -8,7 +8,7 @@ use teg_array::{SwitchingOverheadModel, TegArray};
 use teg_device::{TegDatasheet, TegModule, VariationModel};
 use teg_power::Charger;
 use teg_thermal::{DriveCycle, DriveCycleBuilder, Radiator, RadiatorGeometry, SShapedPlacement};
-use teg_units::{KernelMode, Seconds};
+use teg_units::Seconds;
 
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -50,7 +50,6 @@ pub struct Scenario {
     overhead: SwitchingOverheadModel,
     fault_plan: FaultPlan,
     step: Seconds,
-    kernel_mode: KernelMode,
     // Lazily solved thermal history.  The cache cell itself sits behind an
     // Arc so every clone — made before *or* after the first solve — shares
     // one solve per drive cycle.
@@ -137,14 +136,6 @@ impl Scenario {
     #[must_use]
     pub const fn step(&self) -> Seconds {
         self.step
-    }
-
-    /// The [`KernelMode`] every session over this scenario runs its compute
-    /// kernels in ([`KernelMode::BitExact`] unless the builder opted into the
-    /// fast lane).
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
     }
 
     /// Number of modules in the array.
@@ -287,7 +278,6 @@ pub struct ScenarioBuilder {
     datasheet: TegDatasheet,
     fault_plan: FaultPlan,
     trace_cache: Option<TraceCache>,
-    kernel_mode: KernelMode,
 }
 
 impl ScenarioBuilder {
@@ -306,7 +296,6 @@ impl ScenarioBuilder {
             datasheet: TegDatasheet::tgm_199_1_4_0_8(),
             fault_plan: FaultPlan::none(),
             trace_cache: None,
-            kernel_mode: KernelMode::BitExact,
         }
     }
 
@@ -387,22 +376,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the [`KernelMode`] for every compute kernel run against the
-    /// built scenario: thermal solve, electrical solver and sensor model.
-    ///
-    /// The default is [`KernelMode::BitExact`] — the reference lane whose
-    /// outputs are pinned bit-for-bit by the golden suite.
-    /// [`KernelMode::Fast`] opts into the vectorised/chunked kernels, which
-    /// agree with the reference within a documented `1e-9` relative bound
-    /// (and bit-exactly for the EHTR partition and sensor noise).  The mode
-    /// is part of the thermal-trace cache key, so fast and bit-exact
-    /// scenarios attached to one [`TraceCache`] never share a trace.
-    #[must_use]
-    pub const fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
-        self
-    }
-
     /// Validates the parameters and assembles the scenario.
     ///
     /// # Errors
@@ -445,7 +418,6 @@ impl ScenarioBuilder {
             overhead: self.overhead,
             fault_plan: self.fault_plan,
             step: Seconds::new(1.0),
-            kernel_mode: self.kernel_mode,
             trace: Arc::new(OnceLock::new()),
             solve_lock: Arc::new(Mutex::new(())),
             thermal_solves: Arc::new(AtomicUsize::new(0)),
@@ -474,21 +446,6 @@ mod tests {
         assert!(s.charger().output_voltage().value() > 13.0);
         assert!(s.overhead().per_toggle_energy().value() > 0.0);
         assert!(s.radiator().geometry().flow_path_length().value() > 1.0);
-    }
-
-    #[test]
-    fn kernel_mode_defaults_to_bit_exact() {
-        let s = Scenario::paper_table1(1).unwrap();
-        assert_eq!(s.kernel_mode(), KernelMode::BitExact);
-        let fast = Scenario::builder()
-            .module_count(4)
-            .duration_seconds(5)
-            .kernel_mode(KernelMode::Fast)
-            .build()
-            .unwrap();
-        assert_eq!(fast.kernel_mode(), KernelMode::Fast);
-        // Windowing preserves the mode along with the rest of the scenario.
-        assert_eq!(fast.window(1, 3).unwrap().kernel_mode(), KernelMode::Fast);
     }
 
     #[test]

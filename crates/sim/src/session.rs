@@ -361,11 +361,6 @@ impl<'s> SimSession<'s> {
     /// uses, so differences between schemes come from their decisions, not
     /// their start state.
     ///
-    /// The scenario's [`KernelMode`](teg_units::KernelMode) is pushed into
-    /// every kernel the session drives: the scheme (via
-    /// [`Reconfigurer::set_kernel_mode`]), the session's own electrical
-    /// solver and the sensor injector.
-    ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from the thermal solve or the initial
@@ -390,11 +385,8 @@ impl<'s> SimSession<'s> {
             });
         }
         scheme.reset();
-        let mode = scenario.kernel_mode();
-        scheme.set_kernel_mode(mode);
         let plan = scenario.fault_plan();
-        let mut sensors = SensorFaultInjector::new(module_count, plan.sensor_seed())?;
-        sensors.set_kernel_mode(mode);
+        let sensors = SensorFaultInjector::new(module_count, plan.sensor_seed())?;
         Ok(Self {
             scenario,
             trace,
@@ -420,7 +412,7 @@ impl<'s> SimSession<'s> {
             electrical_faults: FaultState::healthy(module_count),
             realised_config: None,
             plan: None,
-            solver: ArraySolver::with_mode(mode),
+            solver: ArraySolver::new(),
             sensors,
             corrupted_row: Vec::new(),
             fault_events_fired: 0,
@@ -453,12 +445,10 @@ impl<'s> SimSession<'s> {
 
     /// Seeds the session with a pre-warmed solver so its scratch buffers are
     /// reused instead of reallocated — sweep workers recycle solvers across
-    /// the cells they execute.  The incoming solver is switched to the
-    /// scenario's kernel mode, and scratch carries no observable state, so
+    /// the cells they execute.  Scratch carries no observable state, so
     /// seeding never changes results.
     #[must_use]
-    pub fn with_solver(mut self, mut solver: ArraySolver) -> Self {
-        solver.set_mode(self.scenario.kernel_mode());
+    pub fn with_solver(mut self, solver: ArraySolver) -> Self {
         self.solver = solver;
         self
     }

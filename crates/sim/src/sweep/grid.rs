@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use teg_device::VariationModel;
 use teg_reconfig::SchemeSpec;
-use teg_units::KernelMode;
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSeverity};
@@ -550,7 +549,6 @@ pub struct ScenarioGrid {
     cells: Vec<SweepCell>,
     trace_cache: Option<TraceCache>,
     expected_thermal_solves: usize,
-    kernel_mode: KernelMode,
 }
 
 impl ScenarioGrid {
@@ -638,12 +636,6 @@ impl ScenarioGrid {
         self.trace_cache.as_ref()
     }
 
-    /// The [`KernelMode`] every scenario on the grid runs its kernels in.
-    #[must_use]
-    pub const fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
-    }
-
     /// Indices into [`ScenarioGrid::samples`] of the first sample carrying
     /// each distinct thermal key — the set a pre-solve planner must solve to
     /// warm the whole grid.  With trace sharing disabled
@@ -701,7 +693,6 @@ pub struct ScenarioGridBuilder {
     lineups: Vec<SchemeLineup>,
     trace_cache: Option<TraceCache>,
     share_traces: bool,
-    kernel_mode: KernelMode,
 }
 
 impl ScenarioGridBuilder {
@@ -717,7 +708,6 @@ impl ScenarioGridBuilder {
             lineups: vec![SchemeLineup::paper()],
             trace_cache: None,
             share_traces: true,
-            kernel_mode: KernelMode::BitExact,
         }
     }
 
@@ -780,17 +770,6 @@ impl ScenarioGridBuilder {
     pub fn trace_cache(mut self, cache: TraceCache) -> Self {
         self.trace_cache = Some(cache);
         self.share_traces = true;
-        self
-    }
-
-    /// Selects the [`KernelMode`] for every scenario on the grid (default
-    /// [`KernelMode::BitExact`]).  The mode flows through each sample into
-    /// every session the sweep runs — scheme, solver and sensor kernels —
-    /// and into the thermal-trace cache key, so fast and bit-exact grids
-    /// sharing an external cache never alias.
-    #[must_use]
-    pub const fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
         self
     }
 
@@ -871,7 +850,6 @@ impl ScenarioGridBuilder {
                                 .module_count(module_count)
                                 .duration_seconds(drive.duration_seconds())
                                 .seed(seed)
-                                .kernel_mode(self.kernel_mode)
                                 .module_variation(variation)
                                 .fault_plan(fault.plan(
                                     module_count,
@@ -941,7 +919,6 @@ impl ScenarioGridBuilder {
             cells,
             trace_cache,
             expected_thermal_solves,
-            kernel_mode: self.kernel_mode,
         })
     }
 }
@@ -1158,28 +1135,6 @@ mod tests {
             .unwrap();
         assert_eq!(isolated.expected_thermal_solves(), 6 * 10);
         assert!(isolated.trace_cache().is_none());
-    }
-
-    #[test]
-    fn kernel_mode_reaches_every_sample() {
-        let grid = ScenarioGrid::builder()
-            .module_counts([4, 6])
-            .seeds([1, 2])
-            .duration_seconds(5)
-            .kernel_mode(KernelMode::Fast)
-            .build()
-            .unwrap();
-        assert_eq!(grid.kernel_mode(), KernelMode::Fast);
-        for sample in grid.samples() {
-            assert_eq!(sample.kernel_mode(), KernelMode::Fast);
-        }
-        // The default stays bit-exact.
-        let default_grid = ScenarioGrid::builder()
-            .module_counts([4])
-            .duration_seconds(5)
-            .build()
-            .unwrap();
-        assert_eq!(default_grid.kernel_mode(), KernelMode::BitExact);
     }
 
     #[test]

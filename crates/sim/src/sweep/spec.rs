@@ -18,11 +18,6 @@
 //! writes all six in canonical order, so `parse(s).spec() == s` for any
 //! canonically formatted `s`.
 //!
-//! A seventh, optional `kernel=` field selects the grid's
-//! [`KernelMode`](teg_units::KernelMode) (`kernel=fast`).  The bit-exact
-//! default is *omitted* on emission, so every spec line written before the
-//! field existed — including the golden wire frames — stays byte-identical.
-//!
 //! Only *spec-able* axis values round-trip: profiles and lineups built from
 //! the named presets (or from preset-token schemes) carry a token; ones
 //! wrapping arbitrary closures do not, and [`GridSpec::spec`] reports which
@@ -31,7 +26,6 @@
 use std::fmt;
 
 use teg_device::VariationModel;
-use teg_units::KernelMode;
 
 use crate::error::SimError;
 use crate::sweep::grid::{
@@ -69,7 +63,6 @@ pub struct GridSpec {
     variations: Vec<VariationModel>,
     faults: Vec<FaultProfile>,
     lineups: Vec<SchemeLineup>,
-    kernel_mode: KernelMode,
 }
 
 impl Default for GridSpec {
@@ -90,7 +83,6 @@ impl GridSpec {
             variations: vec![VariationModel::none()],
             faults: vec![FaultProfile::none()],
             lineups: vec![SchemeLineup::paper()],
-            kernel_mode: KernelMode::BitExact,
         }
     }
 
@@ -133,15 +125,6 @@ impl GridSpec {
     #[must_use]
     pub fn lineups(mut self, lineups: impl IntoIterator<Item = SchemeLineup>) -> Self {
         self.lineups = lineups.into_iter().collect();
-        self
-    }
-
-    /// Selects the [`KernelMode`] the built grid runs its kernels in
-    /// (default [`KernelMode::BitExact`]; the default is omitted from the
-    /// emitted spec line, so pre-existing wire specs stay byte-identical).
-    #[must_use]
-    pub const fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
         self
     }
 
@@ -216,7 +199,7 @@ impl GridSpec {
                     .ok_or_else(|| blocked("lineup", lineup.name()))?,
             );
         }
-        let mut line = format!(
+        Ok(format!(
             "modules={}|seeds={}|drive={}|var={}|fault={}|lineup={}",
             join(&self.module_counts),
             join(&self.seeds),
@@ -224,15 +207,7 @@ impl GridSpec {
             variations.join(","),
             faults.join(","),
             lineups.join(",")
-        );
-        // The bit-exact default is omitted so spec lines written before the
-        // kernel field existed (and the golden wire frames that embed them)
-        // stay byte-identical.
-        if self.kernel_mode.is_fast() {
-            line.push_str("|kernel=");
-            line.push_str(self.kernel_mode.token());
-        }
-        Ok(line)
+        ))
     }
 
     /// Parses a one-line grid spec.  Axes may appear in any order; missing
@@ -277,16 +252,6 @@ impl GridSpec {
                 "lineup" => {
                     spec.lineups = parse_axis(axis, &tokens, SchemeLineup::parse)?;
                 }
-                "kernel" => {
-                    let modes: Vec<KernelMode> = parse_axis(axis, &tokens, |t| t.parse().ok())?;
-                    let [mode] = modes.as_slice() else {
-                        return Err(bad(format!(
-                            "grid spec axis \"kernel\" takes exactly one mode, got {}",
-                            modes.len()
-                        )));
-                    };
-                    spec.kernel_mode = *mode;
-                }
                 other => {
                     return Err(bad(format!("grid spec names unknown axis {other:?}")));
                 }
@@ -307,7 +272,6 @@ impl GridSpec {
             .variations(self.variations.iter().copied())
             .faults(self.faults.iter().cloned())
             .lineups(self.lineups.iter().cloned())
-            .kernel_mode(self.kernel_mode)
     }
 
     /// Builds the grid with the builder's default fresh shared cache.
@@ -440,38 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_axis_round_trips_and_defaults_stay_byte_identical() {
-        use teg_units::KernelMode;
-
-        // The bit-exact default never emits a kernel field, so historical
-        // spec lines (and the wire frames embedding them) are unchanged.
-        let default_line = GridSpec::new().spec().unwrap();
-        assert!(!default_line.contains("kernel"), "{default_line}");
-        assert_eq!(
-            GridSpec::parse("kernel=bitexact").unwrap().spec().unwrap(),
-            default_line
-        );
-
-        // The fast lane appends a canonical trailing field that round-trips.
-        let fast = GridSpec::new()
-            .module_counts([8])
-            .kernel_mode(KernelMode::Fast);
-        let line = fast.spec().unwrap();
-        assert_eq!(
-            line,
-            "modules=8|seeds=0|drive=porter-ii-800s:800|var=none|fault=healthy\
-             |lineup=paper|kernel=fast"
-        );
-        let reparsed = GridSpec::parse(&line).unwrap();
-        assert_eq!(reparsed.spec().unwrap(), line);
-        let grid = reparsed.to_grid().unwrap();
-        assert_eq!(grid.kernel_mode(), KernelMode::Fast);
-        for sample in grid.samples() {
-            assert_eq!(sample.kernel_mode(), KernelMode::Fast);
-        }
-    }
-
-    #[test]
     fn malformed_specs_name_the_offending_axis() {
         for (text, needle) in [
             ("modules=8|modules=9", "repeats"),
@@ -485,8 +417,7 @@ mod tests {
             ("var=tol:2:0", "cannot parse value"),
             ("fault=random:worn:heavy", "cannot parse value"),
             ("lineup=fixed:duo:nonesuch", "cannot parse value"),
-            ("kernel=turbo", "cannot parse value"),
-            ("kernel=fast,bitexact", "exactly one mode"),
+            ("kernel=fast", "unknown axis"),
         ] {
             let err = GridSpec::parse(text).unwrap_err();
             let SimError::InvalidScenario { reason } = err else {

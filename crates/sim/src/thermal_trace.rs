@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use teg_array::ideal_power;
 use teg_reconfig::TelemetryWindow;
 use teg_thermal::{DriveCycle, DriveSample};
-use teg_units::{Celsius, KernelMode, Seconds, TemperatureDelta, Watts};
+use teg_units::{Celsius, Seconds, TemperatureDelta, Watts};
 
 use crate::error::SimError;
 use crate::scenario::Scenario;
@@ -88,15 +88,9 @@ impl ThermalTrace {
     /// into the trace's strided buffers, so it performs no per-sample heap
     /// allocation — the buffers are reserved once for the whole cycle.
     ///
-    /// In [`KernelMode::BitExact`] (the scenario default) the arithmetic
-    /// (profile evaluation order, ΔT clamping, ideal-power sum) is identical
-    /// to the historical row-per-`Vec` layout, so solved traces are
-    /// bit-identical to earlier revisions.  In [`KernelMode::Fast`] the
-    /// radiator effectiveness uses the one-`powf` cross-flow relation and the
-    /// strided fill uses the geometric-recurrence sampler; the result agrees
-    /// with the reference within the documented `1e-9` relative bound but is
-    /// not bit-identical, which is why the mode is part of the trace-cache
-    /// key.
+    /// The arithmetic (profile evaluation order, ΔT clamping, ideal-power
+    /// sum) is identical to the historical row-per-`Vec` layout, so solved
+    /// traces are bit-identical to earlier revisions.
     ///
     /// # Errors
     ///
@@ -136,7 +130,6 @@ impl ThermalTrace {
         chunk: usize,
     ) -> Result<Self, SimError> {
         let cycle: &DriveCycle = scenario.drive_cycle();
-        let mode: KernelMode = scenario.kernel_mode();
         let width = scenario.placement().module_count();
         let len = cycle.len();
         let chunk = chunk.max(1);
@@ -172,7 +165,7 @@ impl ThermalTrace {
         let workers = threads.min(jobs.len()).max(1);
         if workers <= 1 {
             for job in jobs {
-                Self::solve_chunk(scenario, mode, width, job).map_err(|(_, e)| e)?;
+                Self::solve_chunk(scenario, width, job).map_err(|(_, e)| e)?;
             }
         } else {
             let queue = Mutex::new(jobs.into_iter());
@@ -185,7 +178,7 @@ impl ThermalTrace {
                         let Some(job) = queue.lock().expect("queue poisoned").next() else {
                             break;
                         };
-                        if let Err((index, error)) = Self::solve_chunk(scenario, mode, width, job) {
+                        if let Err((index, error)) = Self::solve_chunk(scenario, width, job) {
                             let mut slot = failure.lock().expect("failure slot poisoned");
                             if slot.as_ref().is_none_or(|(held, _)| index < *held) {
                                 *slot = Some((index, error));
@@ -216,11 +209,9 @@ impl ThermalTrace {
     /// caller can pick the earliest error across chunks.
     fn solve_chunk(
         scenario: &Scenario,
-        mode: KernelMode,
         width: usize,
         job: Chunk<'_>,
     ) -> Result<(), (usize, SimError)> {
-        let fast = mode.is_fast();
         let array = scenario.array();
         let placement = scenario.placement();
         for (offset, sample) in job.samples.iter().enumerate() {
@@ -228,14 +219,10 @@ impl ThermalTrace {
             let fail = |e: SimError| (index, e);
             let profile = scenario
                 .radiator()
-                .surface_profile_with_mode(&sample.coolant(), &sample.ambient(), mode)
+                .surface_profile(&sample.coolant(), &sample.ambient())
                 .map_err(|e| fail(e.into()))?;
             let row = &mut job.rows[offset * width..(offset + 1) * width];
-            if fast {
-                profile.sample_into_fast_slice(placement, row);
-            } else {
-                profile.sample_into_slice(placement, row);
-            }
+            profile.sample_into_slice(placement, row);
             scenario.count_thermal_solve();
             let ambient = sample.ambient().temperature();
             let delta = &mut job.deltas[offset * width..(offset + 1) * width];
@@ -441,30 +428,27 @@ mod tests {
         // parent's solved trace must reproduce exactly what solving the
         // windowed cycle from scratch produces — every row, delta, ideal
         // power, timestamp and ambient down to the last bit.
-        for mode in [KernelMode::BitExact, KernelMode::Fast] {
-            let build = || {
-                Scenario::builder()
-                    .module_count(9)
-                    .duration_seconds(60)
-                    .seed(13)
-                    .kernel_mode(mode)
-                    .build()
-                    .expect("valid scenario")
-            };
-            let solved_parent = build();
-            let _ = solved_parent.thermal_trace().unwrap();
-            let sliced = solved_parent.window(15, 45).unwrap();
-            let fresh = build().window(15, 45).unwrap();
-            let a = sliced.thermal_trace().unwrap();
-            let b = fresh.thermal_trace().unwrap();
-            assert_eq!(a, b, "{mode:?}");
-            assert_eq!(a.time(0), Seconds::new(15.0), "window keeps timestamps");
-            for i in 0..a.len() {
-                for (x, y) in a.row(i).iter().zip(b.row(i)) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{mode:?} row {i}");
-                }
-                assert_eq!(a.ideal(i), b.ideal(i), "{mode:?} ideal {i}");
+        let build = || {
+            Scenario::builder()
+                .module_count(9)
+                .duration_seconds(60)
+                .seed(13)
+                .build()
+                .expect("valid scenario")
+        };
+        let solved_parent = build();
+        let _ = solved_parent.thermal_trace().unwrap();
+        let sliced = solved_parent.window(15, 45).unwrap();
+        let fresh = build().window(15, 45).unwrap();
+        let a = sliced.thermal_trace().unwrap();
+        let b = fresh.thermal_trace().unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.time(0), Seconds::new(15.0), "window keeps timestamps");
+        for i in 0..a.len() {
+            for (x, y) in a.row(i).iter().zip(b.row(i)) {
+                assert_eq!(x.to_bits(), y.to_bits(), "row {i}");
             }
+            assert_eq!(a.ideal(i), b.ideal(i), "ideal {i}");
         }
     }
 

@@ -6,9 +6,9 @@
 //! to run its own full ε-NTU solve.  [`TraceCache`] deduplicates that work:
 //! scenarios attached to the same cache share one [`ThermalTrace`] per
 //! distinct set of thermal inputs, keyed **by value** — drive cycle,
-//! radiator, placement, step, kernel mode and the module parameters behind
-//! the trace's `P_ideal` column — so two scenarios share a trace only when
-//! every input that flows into the solve compares equal.  There is no lossy hashing on
+//! radiator, placement, step and the module parameters behind the trace's
+//! `P_ideal` column — so two scenarios share a trace only when every input
+//! that flows into the solve compares equal.  There is no lossy hashing on
 //! the sharing decision (a 64-bit fingerprint only pre-filters candidates;
 //! full equality always confirms), which keeps the cache inside the
 //! repository's bit-exactness discipline: a cached trace is the same value a
@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use teg_device::TegModule;
 use teg_thermal::{DriveCycle, Radiator, SShapedPlacement};
-use teg_units::{KernelMode, Seconds};
+use teg_units::Seconds;
 
 use crate::error::SimError;
 use crate::scenario::Scenario;
@@ -42,10 +42,6 @@ use crate::thermal_trace::ThermalTrace;
 /// a fast reject only — full equality is always confirmed before sharing.
 pub(crate) struct ThermalKey {
     fingerprint: u64,
-    // The kernel mode is a *solve input*: a fast-lane trace is within
-    // tolerance of — but not bit-identical to — the bit-exact trace for the
-    // same physics, so the two must never alias in the cache.
-    mode: KernelMode,
     step: Seconds,
     placement: SShapedPlacement,
     drive: DriveCycle,
@@ -65,8 +61,6 @@ impl ThermalKey {
                 fingerprint = (fingerprint ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
             }
         };
-        let mode = scenario.kernel_mode();
-        mix(mode as u64);
         mix(placement.module_count() as u64);
         mix(step.value().to_bits());
         mix(drive.len() as u64);
@@ -78,7 +72,6 @@ impl ThermalKey {
         }
         Self {
             fingerprint,
-            mode,
             step,
             placement,
             drive,
@@ -91,7 +84,6 @@ impl ThermalKey {
 impl PartialEq for ThermalKey {
     fn eq(&self, other: &Self) -> bool {
         self.fingerprint == other.fingerprint
-            && self.mode == other.mode
             && self.step == other.step
             && self.placement == other.placement
             && self.modules == other.modules
@@ -104,7 +96,6 @@ impl fmt::Debug for ThermalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThermalKey")
             .field("fingerprint", &format_args!("{:016x}", self.fingerprint))
-            .field("mode", &self.mode)
             .field("modules", &self.placement.module_count())
             .field("samples", &self.drive.len())
             .finish_non_exhaustive()
@@ -486,33 +477,6 @@ mod tests {
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 4);
-    }
-
-    #[test]
-    fn kernel_modes_never_share_a_trace() {
-        // A fast-lane trace is tolerance-equal, not bit-equal, to the
-        // bit-exact trace of the same physics: the cache must keep them in
-        // separate entries even when every other input matches.
-        let cache = TraceCache::new();
-        let exact = builder(8, 12, 5, &cache).build().unwrap();
-        let fast = builder(8, 12, 5, &cache)
-            .kernel_mode(KernelMode::Fast)
-            .build()
-            .unwrap();
-        let exact_again = builder(8, 12, 5, &cache).build().unwrap();
-        let te = exact.thermal_trace().unwrap().clone();
-        let tf = fast.thermal_trace().unwrap().clone();
-        exact_again.thermal_trace().unwrap();
-        assert_eq!(cache.len(), 2, "one entry per kernel mode");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 1, "same-mode scenario still shares");
-        // The traces are close but not the same object/value.
-        assert_ne!(te, tf);
-        for i in 0..te.len() {
-            for (a, b) in te.row(i).iter().zip(tf.row(i)) {
-                assert!(teg_units::approx_eq(*a, *b, 1e-9), "sample {i}: {a} vs {b}");
-            }
-        }
     }
 
     #[test]

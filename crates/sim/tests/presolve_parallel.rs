@@ -22,14 +22,13 @@ use teg_sim::{
     FaultProfile, FaultSeverity, RuntimePolicy, Scenario, ScenarioGrid, SchemeLineup, SweepReport,
     SweepRunner, ThermalTrace,
 };
-use teg_units::{KernelMode, Seconds};
+use teg_units::Seconds;
 
-fn scenario(modules: usize, seconds: usize, seed: u64, mode: KernelMode) -> Scenario {
+fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
     Scenario::builder()
         .module_count(modules)
         .duration_seconds(seconds)
         .seed(seed)
-        .kernel_mode(mode)
         .build()
         .expect("valid scenario")
 }
@@ -99,16 +98,14 @@ proptest! {
         seed in 0u64..1000,
         threads in 1usize..9,
         chunk in 1usize..64,
-        fast in 0usize..2,
     ) {
-        let mode = if fast == 1 { KernelMode::Fast } else { KernelMode::BitExact };
-        let s = scenario(modules, seconds, seed, mode);
+        let s = scenario(modules, seconds, seed);
         let serial = ThermalTrace::solve(&s).expect("serial solve");
         let chunked = ThermalTrace::solve_chunked(&s, threads, chunk).expect("chunked solve");
         assert_traces_bit_identical(
             &serial,
             &chunked,
-            &format!("{modules}mod/{seconds}s/seed{seed} threads={threads} chunk={chunk} {mode:?}"),
+            &format!("{modules}mod/{seconds}s/seed{seed} threads={threads} chunk={chunk}"),
         );
     }
 

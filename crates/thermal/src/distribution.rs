@@ -194,55 +194,6 @@ impl SurfaceProfile {
         }
     }
 
-    /// The `KernelMode::Fast` lane of [`SurfaceProfile::sample_into`].
-    ///
-    /// The placement's module positions are evenly spaced, so the sampled
-    /// exponentials form a geometric progression:
-    /// `exp(−k·d_{i+1}) = exp(−k·d_i) · r` with constant ratio
-    /// `r = exp(−k·L/n)`.  Two `exp` calls (the first sample and the ratio)
-    /// replace `n` of them; the running product accumulates a relative error
-    /// of order `n` ulps, far inside the documented `1e-9` tolerance bound
-    /// the equivalence suite enforces against [`SurfaceProfile::sample_into`].
-    pub fn sample_into_fast(&self, placement: &SShapedPlacement, out: &mut Vec<f64>) {
-        let n = placement.module_count();
-        let cold = self.cold_mean.value();
-        let excess = self.hot_inlet.value() - cold;
-        let spacing = self.path_length.value() / n as f64;
-        let ratio = (-self.decay_per_meter * spacing).exp();
-        let mut factor = (-self.decay_per_meter * (0.5 * spacing)).exp();
-        out.reserve(n);
-        for _ in 0..n {
-            out.push(cold + excess * factor);
-            factor *= ratio;
-        }
-    }
-
-    /// [`SurfaceProfile::sample_into_fast`] writing into an exact-length
-    /// slice instead of appending — the chunk-safe sibling of
-    /// [`SurfaceProfile::sample_into_slice`] for the fast kernel lane, with
-    /// the identical geometric recurrence (and therefore identical values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != placement.module_count()`.
-    pub fn sample_into_fast_slice(&self, placement: &SShapedPlacement, out: &mut [f64]) {
-        let n = placement.module_count();
-        assert_eq!(
-            out.len(),
-            n,
-            "slice length must equal the placement's module count"
-        );
-        let cold = self.cold_mean.value();
-        let excess = self.hot_inlet.value() - cold;
-        let spacing = self.path_length.value() / n as f64;
-        let ratio = (-self.decay_per_meter * spacing).exp();
-        let mut factor = (-self.decay_per_meter * (0.5 * spacing)).exp();
-        for slot in out.iter_mut() {
-            *slot = cold + excess * factor;
-            factor *= ratio;
-        }
-    }
-
     /// Samples the profile at every module position and subtracts the
     /// heatsink/ambient temperature, returning each module's ΔT clamped at
     /// zero.
@@ -375,32 +326,6 @@ mod tests {
         assert_eq!(appended[0], -1.0);
         for (a, b) in allocated.iter().zip(&appended[1..]) {
             assert_eq!(a.value().to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_sampling_matches_the_reference_within_tolerance() {
-        for (inlet, decay) in [(95.0, 0.4), (60.0, 0.05), (110.0, 1.7), (40.0, 0.0)] {
-            let p = SurfaceProfile::new(
-                Celsius::new(inlet),
-                Celsius::new(30.0),
-                decay,
-                Meters::new(3.2),
-            )
-            .unwrap();
-            for n in [1usize, 5, 40, 200] {
-                let placement = SShapedPlacement::new(n).unwrap();
-                let (mut exact, mut fast) = (Vec::new(), Vec::new());
-                p.sample_into(&placement, &mut exact);
-                p.sample_into_fast(&placement, &mut fast);
-                assert_eq!(fast.len(), n);
-                for (a, b) in exact.iter().zip(&fast) {
-                    assert!(
-                        teg_units::approx_eq(*a, *b, 1e-12),
-                        "inlet={inlet} decay={decay} n={n}: {a} vs {b}"
-                    );
-                }
-            }
         }
     }
 

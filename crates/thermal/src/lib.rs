@@ -65,7 +65,7 @@ pub use drive_cycle::{DriveCycle, DriveCycleBuilder, DrivePhase, DriveSample};
 pub use error::ThermalError;
 pub use fluid::{AirProperties, AmbientState, CoolantProperties, CoolantState};
 pub use geometry::{RadiatorGeometry, RadiatorGeometryBuilder};
-pub use ntu::{effectiveness, effectiveness_with_mode, ExchangerArrangement};
+pub use ntu::{effectiveness, ExchangerArrangement};
 pub use placement::SShapedPlacement;
 pub use radiator::{Radiator, RadiatorOperatingPoint};
 pub use trace::{TimeSeries, TracePoint};

@@ -8,8 +8,6 @@
 //! can cross-check the exponential profile of Eq. 1 against the global energy
 //! balance.
 
-use teg_units::KernelMode;
-
 /// Flow arrangement of a two-stream heat exchanger.
 ///
 /// # Examples
@@ -71,28 +69,6 @@ pub fn effectiveness(arrangement: ExchangerArrangement, ntu: f64, c_r: f64) -> f
     eps.clamp(0.0, 1.0)
 }
 
-/// [`effectiveness`] with an explicit [`KernelMode`]: the bit-exact lane is
-/// the reference implementation, the fast lane replaces the cross-flow
-/// relation's second `powf` with a division (`NTU^0.78 = NTU / NTU^0.22`),
-/// which agrees with the reference within a relative error far below the
-/// documented `1e-9` tolerance bound.  All other arrangements are identical
-/// in both lanes.
-#[inline]
-#[must_use]
-pub fn effectiveness_with_mode(
-    arrangement: ExchangerArrangement,
-    ntu: f64,
-    c_r: f64,
-    mode: KernelMode,
-) -> f64 {
-    if mode.is_fast() && arrangement == ExchangerArrangement::CrossFlowBothUnmixed {
-        let ntu = ntu.max(0.0);
-        let c_r = c_r.clamp(0.0, 1.0);
-        return cross_flow_both_unmixed_fast(ntu, c_r).clamp(0.0, 1.0);
-    }
-    effectiveness(arrangement, ntu, c_r)
-}
-
 #[inline]
 fn single_stream(ntu: f64) -> f64 {
     1.0 - (-ntu).exp()
@@ -130,23 +106,6 @@ fn cross_flow_both_unmixed(ntu: f64, c_r: f64) -> f64 {
     // ε = 1 − exp[ (1/Cr) · NTU^0.22 · ( exp(−Cr · NTU^0.78) − 1 ) ]
     let ntu022 = ntu.powf(0.22);
     let inner = (-c_r * ntu.powf(0.78)).exp() - 1.0;
-    1.0 - ((ntu022 / c_r) * inner).exp()
-}
-
-#[inline]
-fn cross_flow_both_unmixed_fast(ntu: f64, c_r: f64) -> f64 {
-    if c_r < 1e-12 {
-        return single_stream(ntu);
-    }
-    if ntu <= 0.0 {
-        return 0.0;
-    }
-    // Same relation as `cross_flow_both_unmixed`, but NTU^0.78 is derived
-    // from the already-computed NTU^0.22 (0.78 = 1 − 0.22), trading the
-    // second `powf` — the expensive call in the per-sample thermal solve —
-    // for one division.
-    let ntu022 = ntu.powf(0.22);
-    let inner = (-c_r * (ntu / ntu022)).exp() - 1.0;
     1.0 - ((ntu022 / c_r) * inner).exp()
 }
 
@@ -261,29 +220,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&eps));
         let eps = effectiveness(ExchangerArrangement::CrossFlowBothUnmixed, 2.0, -1.0);
         assert!((0.0..=1.0).contains(&eps));
-    }
-
-    #[test]
-    fn fast_mode_matches_bit_exact_within_tolerance() {
-        for arr in ALL {
-            for i in 0..=60 {
-                let ntu = f64::from(i) * 0.15;
-                for j in 0..=10 {
-                    let c_r = f64::from(j) * 0.1;
-                    let exact = effectiveness_with_mode(arr, ntu, c_r, KernelMode::BitExact);
-                    let fast = effectiveness_with_mode(arr, ntu, c_r, KernelMode::Fast);
-                    assert_eq!(exact, effectiveness(arr, ntu, c_r), "{arr:?}");
-                    assert!(
-                        teg_units::approx_eq(exact, fast, 1e-12),
-                        "{arr:?} ntu={ntu} cr={c_r}: {exact} vs {fast}"
-                    );
-                    // Only the cross-flow relation has a distinct fast lane.
-                    if arr != ExchangerArrangement::CrossFlowBothUnmixed {
-                        assert_eq!(exact.to_bits(), fast.to_bits(), "{arr:?}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

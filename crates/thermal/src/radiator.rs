@@ -1,13 +1,13 @@
 //! The assembled radiator model: ε-NTU energy balance plus the 1-D surface
 //! temperature profile of the paper's Eq. 1.
 
-use teg_units::{Celsius, KernelMode};
+use teg_units::Celsius;
 
 use crate::distribution::SurfaceProfile;
 use crate::error::ThermalError;
 use crate::fluid::{AirProperties, AmbientState, CoolantProperties, CoolantState};
 use crate::geometry::RadiatorGeometry;
-use crate::ntu::{effectiveness_with_mode, ExchangerArrangement};
+use crate::ntu::{effectiveness, ExchangerArrangement};
 
 /// A finned-tube cross-flow radiator with fixed geometry and fluid property
 /// models.
@@ -92,24 +92,6 @@ impl Radiator {
         coolant: &CoolantState,
         ambient: &AmbientState,
     ) -> Result<RadiatorOperatingPoint, ThermalError> {
-        self.operating_point_with_mode(coolant, ambient, KernelMode::BitExact)
-    }
-
-    /// [`Radiator::operating_point`] with an explicit [`KernelMode`] for the
-    /// ε-NTU relation.  [`KernelMode::BitExact`] is the reference lane;
-    /// [`KernelMode::Fast`] substitutes the tolerance-checked fast
-    /// effectiveness kernel (see
-    /// [`effectiveness_with_mode`](crate::effectiveness_with_mode)).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Radiator::operating_point`].
-    pub fn operating_point_with_mode(
-        &self,
-        coolant: &CoolantState,
-        ambient: &AmbientState,
-        mode: KernelMode,
-    ) -> Result<RadiatorOperatingPoint, ThermalError> {
         let c_hot = coolant.capacity_rate(&self.coolant_props)?;
         let c_cold = ambient.capacity_rate(&self.air_props)?;
         let t_hot_in = coolant.inlet_temperature();
@@ -125,7 +107,7 @@ impl Radiator {
         let c_max = c_hot.max(c_cold);
         let c_r = c_min / c_max;
         let ntu = self.geometry.overall_conductance() / c_min;
-        let eps = effectiveness_with_mode(self.arrangement, ntu, c_r, mode);
+        let eps = effectiveness(self.arrangement, ntu, c_r);
 
         let q_max = c_min * (t_hot_in.value() - t_cold_in.value());
         let q = eps * q_max;
@@ -161,22 +143,7 @@ impl Radiator {
         coolant: &CoolantState,
         ambient: &AmbientState,
     ) -> Result<SurfaceProfile, ThermalError> {
-        self.surface_profile_with_mode(coolant, ambient, KernelMode::BitExact)
-    }
-
-    /// [`Radiator::surface_profile`] with an explicit [`KernelMode`] for the
-    /// ε-NTU relation behind the profile's energy balance.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Radiator::operating_point`].
-    pub fn surface_profile_with_mode(
-        &self,
-        coolant: &CoolantState,
-        ambient: &AmbientState,
-        mode: KernelMode,
-    ) -> Result<SurfaceProfile, ThermalError> {
-        let op = self.operating_point_with_mode(coolant, ambient, mode)?;
+        let op = self.operating_point(coolant, ambient)?;
         let k_per_length = self.geometry.overall_coefficient_per_length();
         let decay_per_meter = k_per_length / op.air_capacity_rate;
         SurfaceProfile::new(

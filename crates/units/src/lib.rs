@@ -35,14 +35,12 @@
 mod electrical;
 mod energy;
 mod geometry;
-mod kernel;
 mod temperature;
 mod time;
 
 pub use electrical::{Amps, Ohms, Siemens, Volts, Watts};
 pub use energy::Joules;
 pub use geometry::{Meters, SquareMeters};
-pub use kernel::{KernelMode, ParseKernelModeError};
 pub use temperature::{Celsius, Kelvin, TemperatureDelta};
 pub use time::{Hertz, Milliseconds, Seconds};
 
