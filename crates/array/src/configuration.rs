@@ -1,10 +1,11 @@
 //! Array configurations: partitions of the module chain into contiguous
 //! series-connected groups of parallel modules.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use crate::error::ArrayError;
-use crate::switches::SwitchBank;
+use crate::switches::{PairLink, SwitchBank};
 
 /// A contiguous run of modules forming one parallel group.
 ///
@@ -247,6 +248,12 @@ impl Configuration {
     /// Number of switch actuations (opens plus closes) needed to move from
     /// `self` to `other`.
     ///
+    /// Equal to `self.switch_bank().toggles_to(&other.switch_bank())`
+    /// without building either bank: link `i` is series exactly when module
+    /// `i + 1` starts a group, so the links that change are the interior
+    /// group starts held by one configuration but not the other, found by
+    /// one merge walk over the two sorted start lists.
+    ///
     /// # Errors
     ///
     /// Returns [`ArrayError::DimensionMismatch`] if the two configurations
@@ -258,7 +265,21 @@ impl Configuration {
                 temperatures: other.module_count,
             });
         }
-        Ok(self.switch_bank().toggles_to(&other.switch_bank()))
+        let (a, b) = (&self.group_starts[1..], &other.group_starts[1..]);
+        let (mut i, mut j, mut shared) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    shared += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let changed_links = a.len() + b.len() - 2 * shared;
+        Ok(changed_links * PairLink::Series.toggles_to(PairLink::Parallel))
     }
 }
 
@@ -377,7 +398,46 @@ mod tests {
     fn toggles_between_mismatched_sizes_fail() {
         let a = Configuration::uniform(10, 2).unwrap();
         let b = Configuration::uniform(12, 2).unwrap();
-        assert!(a.switch_toggles_to(&b).is_err());
+        assert!(matches!(
+            a.switch_toggles_to(&b),
+            Err(ArrayError::DimensionMismatch {
+                modules: 10,
+                temperatures: 12
+            })
+        ));
+    }
+
+    /// The switch-bank diff `switch_toggles_to` replaced, kept as its oracle.
+    fn bank_toggles(a: &Configuration, b: &Configuration) -> usize {
+        a.switch_bank().toggles_to(&b.switch_bank())
+    }
+
+    /// A configuration whose interior module `i` starts a group when
+    /// `coins[i] < density`.
+    fn from_coins(modules: usize, coins: &[f64], density: f64) -> Configuration {
+        let starts = std::iter::once(0)
+            .chain((1..modules).filter(|&i| coins[i] < density))
+            .collect();
+        Configuration::new(starts, modules).unwrap()
+    }
+
+    #[test]
+    fn toggles_match_the_bank_diff_at_the_extremes() {
+        for modules in [1, 2, 7, 400] {
+            let series = Configuration::all_series(modules).unwrap();
+            let parallel = Configuration::all_parallel(modules).unwrap();
+            let uniform = Configuration::uniform(modules, modules.div_ceil(3)).unwrap();
+            for a in [&series, &parallel, &uniform] {
+                for b in [&series, &parallel, &uniform] {
+                    assert_eq!(a.switch_toggles_to(b).unwrap(), bank_toggles(a, b));
+                }
+            }
+            // Every link flips between one group and N groups.
+            assert_eq!(
+                series.switch_toggles_to(&parallel).unwrap(),
+                3 * (modules - 1)
+            );
+        }
     }
 
     proptest! {
@@ -397,6 +457,23 @@ mod tests {
             }
             prop_assert_eq!(covered, modules);
             prop_assert_eq!(next_expected, modules);
+        }
+
+        /// The merge-walk toggle count equals the switch-bank diff, in both
+        /// directions, for arbitrary pairs of same-size configurations.
+        #[test]
+        fn prop_toggles_match_the_bank_diff(
+            modules in 1usize..120,
+            density_a in 0.0_f64..1.0,
+            density_b in 0.0_f64..1.0,
+            coins_a in collection::vec(0.0_f64..1.0, 120),
+            coins_b in collection::vec(0.0_f64..1.0, 120),
+        ) {
+            let a = from_coins(modules, &coins_a, density_a);
+            let b = from_coins(modules, &coins_b, density_b);
+            prop_assert_eq!(a.switch_toggles_to(&b).unwrap(), bank_toggles(&a, &b));
+            prop_assert_eq!(b.switch_toggles_to(&a).unwrap(), bank_toggles(&b, &a));
+            prop_assert_eq!(a.switch_toggles_to(&a).unwrap(), 0);
         }
 
         /// `group_of` agrees with iterating the groups.

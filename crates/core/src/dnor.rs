@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use teg_array::{ArraySolver, Configuration, SwitchingOverheadModel};
-use teg_predict::{MultipleLinearRegression, Predictor};
+use teg_predict::{MultipleLinearRegression, PredictError, Predictor};
 use teg_units::{Joules, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
@@ -253,33 +253,49 @@ impl Dnor {
     /// little history fall back to persistence (repeating their latest
     /// temperature), which is also what the paper's controller would do
     /// before its history buffer fills.
-    // `module` indexes both the window's series and the forecast rows.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// The MLR reads only the trailing `ar_window` samples, so those rows are
+    /// gathered once and each module rolls its forecast through one reused
+    /// buffer — its trailing window followed by the predictions so far.
+    /// Each step calls `predict_next` on exactly the window
+    /// `Predictor::forecast` would pass it, so the rows are bit-identical to
+    /// forecasting every module's full series.
     fn predict_rows(&self, window: &TelemetryWindow<'_>) -> Vec<Vec<f64>> {
         let horizon = self.config.prediction_horizon;
         let ar_window = self.config.prediction_window;
-        let modules = window.array().len();
-        let mut rows = vec![vec![0.0; modules]; horizon];
+        let history_len = window.history_len();
+        let latest = window.current_temperatures();
+        let mut rows = vec![latest.to_vec(); horizon];
 
-        let reference = window.module_series(0);
-        let shared_model = if reference.len() >= ar_window + 2 {
+        let shared_model = if history_len >= ar_window + 2 {
             let mut mlr =
                 MultipleLinearRegression::new(ar_window).expect("window validated at construction");
-            mlr.fit(&reference).ok().map(|()| mlr)
+            mlr.fit(&window.module_series(0)).ok().map(|()| mlr)
         } else {
             None
         };
+        let Some(model) = shared_model else {
+            return rows;
+        };
 
-        for module in 0..modules {
-            let series = window.module_series(module);
-            let forecast = match &shared_model {
-                Some(model) => model
-                    .forecast(&series, horizon)
-                    .unwrap_or_else(|_| vec![*series.last().expect("non-empty history"); horizon]),
-                None => vec![*series.last().expect("non-empty history"); horizon],
-            };
-            for (step, value) in forecast.into_iter().enumerate() {
-                rows[step][module] = value;
+        let tail: Vec<&[f64]> = (history_len - ar_window..history_len)
+            .map(|index| window.row(index))
+            .collect();
+        let mut rolling = vec![0.0; ar_window + horizon];
+        for module in 0..latest.len() {
+            for (slot, row) in rolling.iter_mut().zip(&tail) {
+                *slot = row[module];
+            }
+            let rolled = (0..horizon).try_for_each(|step| {
+                rolling[ar_window + step] = model.predict_next(&rolling[step..ar_window + step])?;
+                Ok::<(), PredictError>(())
+            });
+            // A failed step leaves the whole module on persistence, as a
+            // failed `forecast` did.
+            if rolled.is_ok() {
+                for (row, &value) in rows.iter_mut().zip(&rolling[ar_window..]) {
+                    row[module] = value;
+                }
             }
         }
         rows
@@ -314,8 +330,10 @@ impl Dnor {
         let current_power = solver.mpp_power(incumbent)?;
         let mut energy_old = current_power * step;
         let mut energy_new = solver.mpp_power(candidate)? * step;
+        let mut deltas = Vec::with_capacity(current_deltas.len());
         for row in predicted_rows {
-            let deltas = TelemetryWindow::deltas_from_row(row, window.ambient());
+            deltas.clear();
+            TelemetryWindow::deltas_from_row_into(row, window.ambient(), &mut deltas);
             solver.load(array, &deltas, None)?;
             energy_old += solver.mpp_power(incumbent)? * step;
             energy_new += solver.mpp_power(candidate)? * step;
@@ -411,6 +429,7 @@ impl Reconfigurer for Dnor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::TelemetryBuffer;
     use teg_array::TegArray;
     use teg_device::{TegDatasheet, TegModule};
     use teg_units::Celsius;
@@ -426,6 +445,93 @@ mod tests {
         (0..steps)
             .map(|_| (0..n).map(|i| hot - 1.2 * i as f64).collect())
             .collect()
+    }
+
+    /// A drifting, module-dependent history with enough texture that the
+    /// MLR fit is non-trivial.
+    fn textured_history(n: usize, steps: usize) -> Vec<Vec<f64>> {
+        (0..steps)
+            .map(|t| {
+                (0..n)
+                    .map(|i| {
+                        let (t, i) = (t as f64, i as f64);
+                        95.0 - 0.1 * i + 0.05 * t + 2.0 * (0.37 * t + 0.11 * i).sin()
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The per-module `module_series` + `Predictor::forecast` path that
+    /// `predict_rows` replaced, kept as its oracle.
+    // `module` indexes both the window's series and the forecast rows.
+    #[allow(clippy::needless_range_loop)]
+    fn oracle_rows(dnor: &Dnor, window: &TelemetryWindow<'_>) -> Vec<Vec<f64>> {
+        let horizon = dnor.config.prediction_horizon;
+        let ar_window = dnor.config.prediction_window;
+        let modules = window.array().len();
+        let mut rows = vec![vec![0.0; modules]; horizon];
+        let reference = window.module_series(0);
+        let shared_model = if reference.len() >= ar_window + 2 {
+            let mut mlr = MultipleLinearRegression::new(ar_window).unwrap();
+            mlr.fit(&reference).ok().map(|()| mlr)
+        } else {
+            None
+        };
+        for module in 0..modules {
+            let series = window.module_series(module);
+            let persistence = vec![*series.last().unwrap(); horizon];
+            let forecast = match &shared_model {
+                Some(model) => model.forecast(&series, horizon).unwrap_or(persistence),
+                None => persistence,
+            };
+            for (step, value) in forecast.into_iter().enumerate() {
+                rows[step][module] = value;
+            }
+        }
+        rows
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|row| row.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn predict_rows_match_the_per_module_forecast_oracle() {
+        let overhead = SwitchingOverheadModel::default();
+        let long_horizon =
+            DnorConfig::new(InorConfig::default(), 7, 3, overhead, Seconds::new(1.0)).unwrap();
+        for config in [DnorConfig::default(), long_horizon] {
+            let dnor = Dnor::new(config.clone());
+            let ar_window = config.prediction_window();
+            for modules in [1, 7, 400] {
+                let a = array(modules);
+                // Persistence (too short to fit), exactly the fit minimum,
+                // and the full lookback.
+                for steps in [1, ar_window + 1, ar_window + 2, config.lookback()] {
+                    let history = textured_history(modules, steps);
+                    let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+                    assert_eq!(
+                        bits(&dnor.predict_rows(&inputs)),
+                        bits(&oracle_rows(&dnor, &inputs)),
+                        "{modules} modules, {steps} rows"
+                    );
+                }
+                // A full ring buffer whose window spans the wrap-around.
+                let mut buffer = TelemetryBuffer::new(modules, config.lookback()).unwrap();
+                for row in textured_history(modules, config.lookback() + 13) {
+                    buffer.push_row(&row).unwrap();
+                }
+                let inputs = buffer.window(&a, Celsius::new(25.0)).unwrap();
+                assert_eq!(
+                    bits(&dnor.predict_rows(&inputs)),
+                    bits(&oracle_rows(&dnor, &inputs)),
+                    "{modules} modules, wrapped ring"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,68 @@
+//! Physical invariants checked on every step of every scheme: no wiring
+//! harvests more than the unconstrained ideal, and the net energy of a step
+//! is its gross harvest less the switching overhead charged to it, floored
+//! at zero.  Checked over small seeded arrays, healthy and under severe
+//! degradation, for the scalability lineup and the paper's Table I field.
+
+use teg_harvest::sim::{
+    DriveProfile, FaultProfile, GridSpec, RuntimePolicy, SchemeLineup, SimSession,
+};
+use teg_harvest::units::{Joules, Seconds};
+
+const CHARGE: Seconds = Seconds::new(0.002);
+
+#[test]
+fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
+    let grid = GridSpec::new()
+        .module_counts([5, 9, 16, 24])
+        .seeds([3, 11, 29])
+        .drives([DriveProfile::parse("city:30").expect("drive token")])
+        .faults([
+            FaultProfile::none(),
+            FaultProfile::parse("random:severe:severe").expect("fault token"),
+        ])
+        .lineups([
+            SchemeLineup::parse("fixed:onr:dnor-det:0.002+inor+baseline").expect("lineup"),
+            SchemeLineup::parse("paper-fixed:0.002").expect("lineup"),
+        ])
+        .to_grid()
+        .expect("grid");
+
+    let mut steps_checked = 0;
+    let mut faulted_steps = 0;
+    for cell in grid.cells() {
+        let scenario = grid.scenario(cell);
+        let step = scenario.step();
+        for spec in grid.lineup(cell).specs(cell.key().module_count()) {
+            let mut scheme = spec.build();
+            let mut session = SimSession::new(scenario, scheme.as_mut())
+                .expect("session")
+                .with_runtime_policy(RuntimePolicy::Fixed(CHARGE));
+            while let Some(record) = session.step().expect("step") {
+                let context = format!("{} / {} at t={}", cell.key(), spec.name(), record.time());
+                let ideal = record.ideal_power().value();
+                assert!(
+                    record.array_power().value() <= ideal * (1.0 + 1e-9),
+                    "{context}: array power {} exceeds the ideal {ideal}",
+                    record.array_power()
+                );
+                assert!(record.overhead_energy().value() >= 0.0, "{context}");
+                let gross = record.array_power() * step;
+                let net = (gross - record.overhead_energy()).max(Joules::ZERO);
+                assert_eq!(
+                    record.net_power().value().to_bits(),
+                    net.average_power(step).value().to_bits(),
+                    "{context}: net power is not gross less overhead"
+                );
+                steps_checked += 1;
+                faulted_steps += usize::from(record.faults_active() > 0);
+            }
+        }
+    }
+    // 24 cells per lineup: 3 schemes + 4 schemes, 30 steps each.
+    assert_eq!(steps_checked, 24 * (3 + 4) * 30);
+    assert!(
+        faulted_steps > 0,
+        "the severe profile must degrade some steps"
+    );
+}
