@@ -1,19 +1,17 @@
 //! Sweep hot-path benchmark — end-to-end cells/second of a scenario sweep
-//! with the cross-cell thermal trace cache on and off, and with the
-//! pre-solve planner on and off.
+//! with the cross-cell thermal trace cache on and off.
 //!
 //! PR 4's `solver_hotpath` snapshot covers the electrical candidate scan;
 //! this binary extends the perf trajectory to the full sweep pipeline, where
 //! the radiator solve is the dominant shared cost and the EHTR partition
 //! search dominates the paper lineup.  Before any timing it asserts the
 //! correctness contracts: the cached and uncached (isolated-trace) sweeps
-//! must produce identical cells and summaries, one worker must equal four
-//! workers bit for bit, and the planner-on sweep must equal the planner-off
-//! one.  It then times the configurations end to end, prints a table, writes
-//! `BENCH_sweep.json` and **exits non-zero** if the headline grid's
-//! cached-vs-uncached speedup or a presolve-gated grid's planner-on
-//! throughput drops below its committed floor — so CI catches a regressing
-//! cache or decision/pre-solve pipeline.
+//! must produce identical cells and summaries, and one worker must equal four
+//! workers bit for bit.  It then times both configurations end to end,
+//! prints a table, writes `BENCH_sweep.json` and **exits non-zero** if the
+//! headline grid's cached-vs-uncached speedup or a throughput-gated grid's
+//! cached throughput drops below its committed floor — so CI catches a
+//! regressing cache or decision pipeline.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -36,21 +34,21 @@ const WORKERS: usize = 4;
 const SPEEDUP_FLOOR: f64 = 1.5;
 /// The committed end-to-end throughput of the paper-field grid at 4 workers
 /// as of the PR-8 snapshot (cached, bit-exact, demand-solved traces), in
-/// cells per second.  The presolve gate below holds the planner-enabled run
-/// to a multiple of this absolute baseline rather than to a same-run ratio,
-/// so the gate tracks the cumulative decision-memo + planner win.
-const PRESOLVE_BASELINE_CPS: f64 = 39.7;
-/// Committed floor on `presolve_cells_per_s / PRESOLVE_BASELINE_CPS` for
-/// presolve-gated grids.
-const PRESOLVE_FLOOR: f64 = 2.0;
+/// cells per second.  The throughput gate below holds the cached run to a
+/// multiple of this absolute baseline rather than to a same-run ratio, so
+/// the gate tracks the cumulative decision-memo and DP-layout win.
+const THROUGHPUT_BASELINE_CPS: f64 = 39.7;
+/// Committed floor on `cached_cells_per_s / THROUGHPUT_BASELINE_CPS` for
+/// throughput-gated grids.
+const THROUGHPUT_FLOOR: f64 = 2.0;
 
 struct GridSpec {
     name: &'static str,
     /// Whether this case enforces `SPEEDUP_FLOOR` (cache gate).
     gating: bool,
-    /// Whether this case enforces `PRESOLVE_FLOOR` against
-    /// `PRESOLVE_BASELINE_CPS` (pre-solve planner gate).
-    presolve_gating: bool,
+    /// Whether this case enforces `THROUGHPUT_FLOOR` against
+    /// `THROUGHPUT_BASELINE_CPS` (absolute throughput gate).
+    throughput_gating: bool,
     build: fn(bool) -> ScenarioGrid,
 }
 
@@ -107,9 +105,9 @@ fn monitoring_grid(shared: bool) -> ScenarioGrid {
 
 /// A full paper-lineup grid: all four schemes per cell.  The electrical
 /// candidate search — above all the EHTR partition DP — dominates its
-/// end-to-end cost, which makes it the gating case for the pre-solve
-/// planner's absolute-throughput floor (the cumulative decision-memo and
-/// DP-layout wins are what move this grid).
+/// end-to-end cost, which makes it the gating case for the
+/// absolute-throughput floor (the cumulative decision-memo and DP-layout
+/// wins are what move this grid).
 fn paper_grid(shared: bool) -> ScenarioGrid {
     let builder = ScenarioGrid::builder()
         .module_counts([40])
@@ -132,16 +130,13 @@ fn paper_grid(shared: bool) -> ScenarioGrid {
 struct Case {
     name: &'static str,
     gating: bool,
-    presolve_gating: bool,
+    throughput_gating: bool,
     cells: usize,
     samples: usize,
     unique_solves: usize,
     isolated_solves: usize,
-    presolve_planned: usize,
-    presolve_solved: usize,
     uncached_cps: f64,
     cached_cps: f64,
-    presolve_cps: f64,
 }
 
 impl Case {
@@ -149,50 +144,33 @@ impl Case {
         self.cached_cps / self.uncached_cps
     }
 
-    fn presolve_ratio(&self) -> f64 {
-        self.presolve_cps / PRESOLVE_BASELINE_CPS
+    fn throughput_ratio(&self) -> f64 {
+        self.cached_cps / THROUGHPUT_BASELINE_CPS
     }
 }
 
-/// Runner for the legacy columns: planner off, so `uncached_cps` and
-/// `cached_cps` keep the meaning of earlier snapshots
-/// (traces demand-solved by the first cell that needs them).
 fn runner(workers: usize) -> SweepRunner {
     SweepRunner::new()
         .workers(workers)
         .runtime_policy(RuntimePolicy::Fixed(CHARGE))
-        .presolve(false)
 }
 
-/// Runner for the `presolve_cells_per_s` column: the default planner-on
-/// configuration that `SweepRunner::new()` ships with.
-fn presolve_runner(workers: usize) -> SweepRunner {
-    SweepRunner::new()
-        .workers(workers)
-        .runtime_policy(RuntimePolicy::Fixed(CHARGE))
-}
-
-/// Best-of-N end-to-end run times for all three timed configurations,
+/// Best-of-N end-to-end run times for both timed configurations,
 /// rebuilding a cold grid outside the timed region each iteration so every
 /// run pays its own thermal solves.  The configurations are interleaved
 /// within each iteration — a transient load spike on shared hardware then
 /// hits every configuration about equally, which keeps the speedup *ratios*
 /// the gates check far more stable than timing each configuration in its
 /// own best-of-N window.
-fn time_runs_secs(build: fn(bool) -> ScenarioGrid) -> [f64; 3] {
-    // (shared, planner-on) per slot: uncached, cached, presolve.
-    let configs = [(false, false), (true, false), (true, true)];
-    let mut best = [f64::INFINITY; 3];
+fn time_runs_secs(build: fn(bool) -> ScenarioGrid) -> [f64; 2] {
+    // Trace sharing per slot: uncached, cached.
+    let configs = [false, true];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..5 {
-        for (slot, &(shared, presolve)) in configs.iter().enumerate() {
+        for (slot, &shared) in configs.iter().enumerate() {
             let grid = build(shared);
-            let sweep = if presolve {
-                presolve_runner(WORKERS)
-            } else {
-                runner(WORKERS)
-            };
             let start = Instant::now();
-            let report = sweep.run(&grid).expect("sweep");
+            let report = runner(WORKERS).run(&grid).expect("sweep");
             let elapsed = start.elapsed().as_secs_f64();
             assert!(!report.cells().is_empty());
             best[slot] = best[slot].min(elapsed);
@@ -225,35 +203,20 @@ fn measure(spec: &GridSpec) -> Case {
         "{}: trace sharing changed a summary",
         spec.name
     );
-    let presolved = presolve_runner(WORKERS)
-        .run(&(spec.build)(true))
-        .expect("presolved sweep");
-    assert_eq!(
-        cached_parallel, presolved,
-        "{}: the pre-solve planner changed the report",
-        spec.name
-    );
-    let stats = presolved
-        .presolve()
-        .copied()
-        .expect("planner-on run records presolve stats");
     let shared_grid = (spec.build)(true);
     let isolated_grid = (spec.build)(false);
-    let [uncached_secs, cached_secs, presolve_secs] = time_runs_secs(spec.build);
+    let [uncached_secs, cached_secs] = time_runs_secs(spec.build);
     let cells = shared_grid.len();
     Case {
         name: spec.name,
         gating: spec.gating,
-        presolve_gating: spec.presolve_gating,
+        throughput_gating: spec.throughput_gating,
         cells,
         samples: shared_grid.samples().len(),
         unique_solves: shared_grid.expected_thermal_solves(),
         isolated_solves: isolated_grid.expected_thermal_solves(),
-        presolve_planned: stats.planned(),
-        presolve_solved: stats.solved(),
         uncached_cps: cells as f64 / uncached_secs,
         cached_cps: cells as f64 / cached_secs,
-        presolve_cps: cells as f64 / presolve_secs,
     }
 }
 
@@ -263,10 +226,10 @@ fn render_json(cases: &[Case]) -> String {
         .filter(|c| c.gating)
         .map(Case::speedup)
         .fold(f64::INFINITY, f64::min);
-    let presolve_gating_ratio = cases
+    let throughput_gating_ratio = cases
         .iter()
-        .filter(|c| c.presolve_gating)
-        .map(Case::presolve_ratio)
+        .filter(|c| c.throughput_gating)
+        .map(Case::throughput_ratio)
         .fold(f64::INFINITY, f64::min);
     let mut out = String::from("{\n  \"bench\": \"sweep_hotpath\",\n");
     out.push_str("  \"unit\": \"cells_per_second\",\n");
@@ -281,32 +244,27 @@ fn render_json(cases: &[Case]) -> String {
             out,
             "    {{\"grid\": \"{}\", \"cells\": {}, \"samples\": {}, \
              \"unique_thermal_solves\": {}, \"isolated_thermal_solves\": {}, \
-             \"presolve_planned\": {}, \"presolve_solved\": {}, \
              \"uncached_cells_per_s\": {:.1}, \"cached_cells_per_s\": {:.1}, \
-             \"presolve_cells_per_s\": {:.1}, \"speedup\": {:.2}, \
-             \"gating\": {}, \"presolve_gating\": {}}}{comma}",
+             \"speedup\": {:.2}, \"gating\": {}, \"throughput_gating\": {}}}{comma}",
             case.name,
             case.cells,
             case.samples,
             case.unique_solves,
             case.isolated_solves,
-            case.presolve_planned,
-            case.presolve_solved,
             case.uncached_cps,
             case.cached_cps,
-            case.presolve_cps,
             case.speedup(),
             case.gating,
-            case.presolve_gating,
+            case.throughput_gating,
         );
     }
     let _ = writeln!(
         out,
         "  ],\n  \"gating_speedup\": {gating_speedup:.2},\n  \
          \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
-         \"presolve_baseline_cells_per_s\": {PRESOLVE_BASELINE_CPS},\n  \
-         \"presolve_gating_ratio\": {presolve_gating_ratio:.2},\n  \
-         \"presolve_floor\": {PRESOLVE_FLOOR}\n}}"
+         \"throughput_baseline_cells_per_s\": {THROUGHPUT_BASELINE_CPS},\n  \
+         \"throughput_gating_ratio\": {throughput_gating_ratio:.2},\n  \
+         \"throughput_floor\": {THROUGHPUT_FLOOR}\n}}"
     );
     out
 }
@@ -316,36 +274,30 @@ fn main() -> ExitCode {
         GridSpec {
             name: "monitoring-100mod",
             gating: true,
-            presolve_gating: false,
+            throughput_gating: false,
             build: monitoring_grid,
         },
         GridSpec {
             name: "paper-field-40mod",
             gating: false,
-            presolve_gating: true,
+            throughput_gating: true,
             build: paper_grid,
         },
     ];
     let cases: Vec<Case> = specs.iter().map(measure).collect();
 
-    println!("# Sweep hot path: shared trace cache, pre-solve planner");
-    println!(
-        "grid,cells,samples,unique_solves,isolated_solves,presolve_planned,presolve_solved,\
-         uncached_cps,cached_cps,presolve_cps,speedup"
-    );
+    println!("# Sweep hot path: shared trace cache");
+    println!("grid,cells,samples,unique_solves,isolated_solves,uncached_cps,cached_cps,speedup");
     for case in &cases {
         println!(
-            "{},{},{},{},{},{},{},{:.1},{:.1},{:.1},{:.2}",
+            "{},{},{},{},{},{:.1},{:.1},{:.2}",
             case.name,
             case.cells,
             case.samples,
             case.unique_solves,
             case.isolated_solves,
-            case.presolve_planned,
-            case.presolve_solved,
             case.uncached_cps,
             case.cached_cps,
-            case.presolve_cps,
             case.speedup()
         );
     }
@@ -373,19 +325,19 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    for case in cases.iter().filter(|c| c.presolve_gating) {
-        let ratio = case.presolve_ratio();
+    for case in cases.iter().filter(|c| c.throughput_gating) {
+        let ratio = case.throughput_ratio();
         println!(
-            "# {} planner-on throughput {:.1} cells/s = {ratio:.2}x the committed \
-             PR-8 baseline {PRESOLVE_BASELINE_CPS} cells/s (floor: {PRESOLVE_FLOOR}x)",
-            case.name, case.presolve_cps
+            "# {} cached throughput {:.1} cells/s = {ratio:.2}x the committed \
+             baseline {THROUGHPUT_BASELINE_CPS} cells/s (floor: {THROUGHPUT_FLOOR}x)",
+            case.name, case.cached_cps
         );
-        if ratio < PRESOLVE_FLOOR {
+        if ratio < THROUGHPUT_FLOOR {
             eprintln!(
-                "FAIL: {} planner-on throughput {:.1} cells/s is {ratio:.2}x the \
-                 committed baseline {PRESOLVE_BASELINE_CPS} cells/s, below the \
-                 floor {PRESOLVE_FLOOR}x",
-                case.name, case.presolve_cps
+                "FAIL: {} cached throughput {:.1} cells/s is {ratio:.2}x the \
+                 committed baseline {THROUGHPUT_BASELINE_CPS} cells/s, below the \
+                 floor {THROUGHPUT_FLOOR}x",
+                case.name, case.cached_cps
             );
             ok = false;
         }

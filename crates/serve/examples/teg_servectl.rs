@@ -56,10 +56,6 @@ fn stats(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
         "trace cache        {} entries, {} hits / {} misses, {} evictions",
         reply.cache_len, reply.cache_hits, reply.cache_misses, reply.cache_evictions
     );
-    println!(
-        "pre-solve planner  {} keys planned, {} solved ahead of cells",
-        reply.presolve_planned, reply.presolve_solved
-    );
     println!("workers respawned  {}", reply.workers_respawned);
     println!(
         "connections        {} open, {} rejected at the cap",

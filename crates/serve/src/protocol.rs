@@ -360,12 +360,12 @@ pub struct StatsReply {
     pub cache_evictions: usize,
     /// Worker threads solving cells.
     pub workers: usize,
-    /// Unique thermal keys the pre-solve planner enumerated across all
-    /// admitted requests since start.
+    /// Retired: the daemon no longer plans thermal solves ahead of its
+    /// cells, so this always reports 0.  The line stays on the wire because
+    /// every decoder requires it.
     pub presolve_planned: usize,
-    /// Planned keys the planner actually solved ahead of cell dispatch
-    /// (the rest were already warm in the cache, or failed and were left to
-    /// the demand path).
+    /// Retired with `presolve_planned`; always 0.  Each unique thermal key's
+    /// solve now shows up as one `cache_misses`.
     pub presolve_solved: usize,
     /// Dead worker threads the supervisor replaced since start.
     pub workers_respawned: usize,
@@ -514,6 +514,9 @@ mod tests {
         assert_eq!(ErrorReply::decode(&error.encode()).unwrap(), error);
         let cancel = Cancel { id: "a".into() };
         assert_eq!(Cancel::decode(&cancel.encode()).unwrap(), cancel);
+        // A live daemon always sends 0 for the two retired presolve lines;
+        // the codec still carries any value, so payloads from older daemons
+        // keep decoding.
         let stats = StatsReply {
             active: 1,
             queued_cells: 7,

@@ -66,8 +66,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use teg_sim::{
-    Comparison, ComparisonReport, RuntimePolicy, ScenarioGrid, SimError, SolverPool,
-    SweepCellReport, TraceCache,
+    run_cell, ComparisonReport, RuntimePolicy, ScenarioGrid, SimError, SolverPool, SweepCellReport,
+    TraceCache,
 };
 
 use crate::checkpoint::{delete_checkpoint, load_checkpoint, CheckpointLoad, CheckpointWriter};
@@ -162,9 +162,7 @@ impl ActiveRequest {
     }
 }
 
-/// One unit of worker work.  Pre-solve jobs are enqueued before a request's
-/// cell jobs, so the FIFO queue naturally warms every trace between the
-/// ACCEPTED frame and the first CELL frame.
+/// One unit of worker work.
 enum Job {
     /// Run one cell of an admitted sweep.
     Cell {
@@ -172,16 +170,6 @@ enum Job {
         request: Arc<ActiveRequest>,
         /// Index into the request grid's cells.
         index: usize,
-    },
-    /// Warm one unique thermal key ahead of the request's cells.
-    Presolve {
-        /// The owning request.
-        request: Arc<ActiveRequest>,
-        /// Index into the request grid's samples.
-        sample: usize,
-        /// Row-parallel chunk threads folded into this one solve (more than
-        /// 1 only when the planned keys are fewer than the workers).
-        threads: usize,
     },
     /// Chaos-testing poison pill: panics *outside* the per-job panic
     /// containment, killing the worker thread exactly the way an escaped
@@ -193,9 +181,7 @@ enum Job {
 impl Job {
     fn belongs_to(&self, target: &Arc<ActiveRequest>) -> bool {
         match self {
-            Self::Cell { request, .. } | Self::Presolve { request, .. } => {
-                Arc::ptr_eq(request, target)
-            }
+            Self::Cell { request, .. } => Arc::ptr_eq(request, target),
             Self::Poison => false,
         }
     }
@@ -211,11 +197,6 @@ struct Shared {
     active: AtomicUsize,
     /// Sweeps that ran to DONE.
     completed: AtomicUsize,
-    /// Unique thermal keys the pre-solve planner enumerated, across all
-    /// admitted requests.
-    presolve_planned: AtomicUsize,
-    /// Planned keys the workers solved ahead of cell dispatch.
-    presolve_solved: AtomicUsize,
     /// Dead worker threads the supervisor replaced.
     workers_respawned: AtomicUsize,
     /// Connection handlers currently alive.
@@ -277,58 +258,15 @@ fn worker_loop(shared: &Shared) {
         };
         match job {
             Job::Poison => panic!("chaos poison pill: simulated worker crash"),
-            Job::Presolve {
-                request,
-                sample,
-                threads,
-            } => {
-                if request.is_cancelled() {
-                    continue;
-                }
-                // Warm one unique thermal key before the request's cells
-                // run.  Failures (and panics) are deliberately swallowed:
-                // the owning cell re-attempts the solve on demand and
-                // reports the error with its usual attribution, exactly as
-                // if no planner ran.
-                let grid = &request.grid;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    grid.samples().get(sample).map(|s| s.presolve(threads))
-                }));
-                if matches!(outcome, Ok(Some(Ok(true)))) {
-                    shared.presolve_solved.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             Job::Cell { request, index } => {
                 if request.is_cancelled() {
                     continue;
                 }
-                let policy = request.policy;
-                // Same recipe — and same panic containment — as
+                // The same executor — and the same panic containment — as
                 // SweepRunner's in-process workers, so service results match
-                // runner results.  *Everything* per-job runs inside the
-                // containment, including the grid indexing and the
-                // lineup/scenario construction: a malformed cell errors the
-                // cell, never the worker.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let grid = &request.grid;
-                    let cell =
-                        grid.cells()
-                            .get(index)
-                            .ok_or_else(|| SimError::InvalidScenario {
-                                reason: format!("cell index {index} is outside the request grid"),
-                            })?;
-                    let scenario = grid.scenario(cell);
-                    let specs = grid.lineup(cell).specs(cell.key().module_count());
-                    Comparison::from_specs(scenario, &specs)
-                        .runtime_policy(policy)
-                        .solver_pool(&mut pool)
-                        .run()
-                }))
-                .unwrap_or_else(|_| {
-                    Err(SimError::InvalidScenario {
-                        reason: format!("sweep cell {index} panicked in a scheme or solver"),
-                    })
-                });
+                // runner results and a malformed cell errors the cell, never
+                // the worker.
+                let outcome = run_cell(&request.grid, index, request.policy, &mut pool);
                 request.push_result(index, outcome);
             }
         }
@@ -397,8 +335,6 @@ impl SweepServer {
             queue_signal: Condvar::new(),
             active: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
-            presolve_planned: AtomicUsize::new(0),
-            presolve_solved: AtomicUsize::new(0),
             workers_respawned: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             connections_rejected: AtomicUsize::new(0),
@@ -657,8 +593,8 @@ fn stats_reply(shared: &Shared) -> StatsReply {
         cache_misses: shared.cache.misses(),
         cache_evictions: shared.cache.evictions(),
         workers: shared.config.workers.max(1),
-        presolve_planned: shared.presolve_planned.load(Ordering::Relaxed),
-        presolve_solved: shared.presolve_solved.load(Ordering::Relaxed),
+        presolve_planned: 0,
+        presolve_solved: 0,
         workers_respawned: shared.workers_respawned.load(Ordering::Relaxed),
         connections: shared.connections.load(Ordering::Relaxed),
         connections_rejected: shared.connections_rejected.load(Ordering::Relaxed),
@@ -866,49 +802,19 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, frame: &Frame) ->
         None => None,
     };
 
-    // Fan the unfinished cells out to the workers, in grid order — with the
-    // pre-solve plan queued *first*, so the pool warms every unique thermal
-    // key the unfinished cells need before any cell starts.  Cells restored
-    // from the checkpoint are replayed from journalled bytes and never
-    // touch the radiator, so their keys are not planned.
+    // Fan the unfinished cells out to the workers, in grid order.  Cells
+    // restored from the checkpoint are replayed from journalled bytes and
+    // never run; the others solve their thermal traces on demand through
+    // the shared cache.
     let total = active.grid.len();
     let resumed = restored.len();
-    let pending: Vec<&teg_sim::SweepCell> = active
-        .grid
-        .cells()
-        .iter()
-        .enumerate()
-        .filter(|(index, _)| !restored.contains_key(index))
-        .map(|(_, cell)| cell)
-        .collect();
-    let plan = active
-        .grid
-        .unique_sample_indices_for(pending.iter().copied());
-    let workers = shared.config.workers.max(1);
-    let threads = if plan.is_empty() {
-        1
-    } else {
-        (workers / plan.len()).clamp(1, workers)
-    };
-    shared
-        .presolve_planned
-        .fetch_add(plan.len(), Ordering::Relaxed);
     {
         let mut queue = shared.lock_queue();
-        for sample in plan {
-            queue.push_back(Job::Presolve {
+        for index in (0..total).filter(|index| !restored.contains_key(index)) {
+            queue.push_back(Job::Cell {
                 request: Arc::clone(&active),
-                sample,
-                threads,
+                index,
             });
-        }
-        for index in 0..total {
-            if !restored.contains_key(&index) {
-                queue.push_back(Job::Cell {
-                    request: Arc::clone(&active),
-                    index,
-                });
-            }
         }
     }
     shared.queue_signal.notify_all();

@@ -186,8 +186,30 @@ impl Scenario {
     /// Like [`Scenario::thermal_trace`] but returning the shared handle, for
     /// callers that need to outlive `&self` borrows (the session keeps one).
     pub(crate) fn thermal_trace_shared(&self) -> Result<&Arc<ThermalTrace>, SimError> {
+        self.resolve_trace().map(|(trace, _)| trace)
+    }
+
+    /// Solves this scenario's thermal trace now rather than on first use.
+    /// With a [`TraceCache`] attached the trace resolves through the cache,
+    /// so every equal-keyed scenario shares it; otherwise it lands in this
+    /// scenario's own slot.  Returns `true` when this call performed the
+    /// solve, `false` when the trace was already available.
+    ///
+    /// The solve is always the serial loop of [`ThermalTrace::solve`];
+    /// `threads` is ignored and kept only for source compatibility.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError::Thermal`] from the radiator solve.
+    pub fn presolve(&self, _threads: usize) -> Result<bool, SimError> {
+        self.resolve_trace().map(|(_, solved)| solved)
+    }
+
+    /// The cached trace, solved on first use, plus whether this call solved
+    /// it.
+    fn resolve_trace(&self) -> Result<(&Arc<ThermalTrace>, bool), SimError> {
         if let Some(trace) = self.trace.get() {
-            return Ok(trace);
+            return Ok((trace, false));
         }
         // Serialise the initial solve: without the lock two concurrent first
         // callers would both run the full radiator solve (discarding one
@@ -197,51 +219,17 @@ impl Scenario {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if let Some(trace) = self.trace.get() {
-            return Ok(trace);
+            return Ok((trace, false));
         }
         // With a cache attached, an equal-keyed scenario's trace is shared
         // instead of re-solved (and this scenario then counts no solves).
-        let solved = match &self.trace_cache {
+        let (solved, fresh) = match &self.trace_cache {
             Some(cache) => cache.trace_for(self)?,
-            None => Arc::new(ThermalTrace::solve(self)?),
+            None => (Arc::new(ThermalTrace::solve(self)?), true),
         };
         let stored = self.trace.get_or_init(|| solved);
         drop(guard);
-        Ok(stored)
-    }
-
-    /// Solves this scenario's thermal trace ahead of demand, splitting the
-    /// solve across `threads` chunk workers (bit-identical to the serial
-    /// solve for any thread count — see
-    /// [`ThermalTrace::solve_with_threads`]).  With a [`TraceCache`]
-    /// attached the solve lands in the cache, so every equal-keyed scenario
-    /// shares it; otherwise it lands in this scenario's own slot.  Returns
-    /// `true` when this call performed the solve, `false` when the trace was
-    /// already available.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Thermal`] from the radiator solve.
-    pub fn presolve(&self, threads: usize) -> Result<bool, SimError> {
-        if self.trace.get().is_some() {
-            return Ok(false);
-        }
-        match &self.trace_cache {
-            Some(cache) => cache.presolve_for(self, threads),
-            None => {
-                let guard = self
-                    .solve_lock
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if self.trace.get().is_some() {
-                    return Ok(false);
-                }
-                let solved = Arc::new(ThermalTrace::solve_with_threads(self, threads)?);
-                self.trace.get_or_init(|| solved);
-                drop(guard);
-                Ok(true)
-            }
-        }
+        Ok((stored, fresh))
     }
 
     /// The cross-scenario trace cache this scenario resolves its thermal

@@ -637,28 +637,15 @@ impl ScenarioGrid {
     }
 
     /// Indices into [`ScenarioGrid::samples`] of the first sample carrying
-    /// each distinct thermal key — the set a pre-solve planner must solve to
-    /// warm the whole grid.  With trace sharing disabled
-    /// ([`ScenarioGridBuilder::isolated_traces`]) every sample is its own
-    /// key, so every sample index is returned.
+    /// each distinct thermal key, in the order the cells first reference
+    /// them — the set of radiator solves a cold sweep of this grid runs.
+    /// With trace sharing disabled ([`ScenarioGridBuilder::isolated_traces`])
+    /// every sample is its own key, so every sample index is returned.
     #[must_use]
     pub fn unique_sample_indices(&self) -> Vec<usize> {
-        self.unique_sample_indices_for(&self.cells)
-    }
-
-    /// Like [`ScenarioGrid::unique_sample_indices`], restricted to the
-    /// samples the given cells reference — e.g. the cells a
-    /// checkpoint-resumed sweep still has to run.  Order follows the cells'
-    /// first references, so the result is deterministic for a given cell
-    /// order.
-    #[must_use]
-    pub fn unique_sample_indices_for<'a>(
-        &self,
-        cells: impl IntoIterator<Item = &'a SweepCell>,
-    ) -> Vec<usize> {
         let mut seen = vec![false; self.samples.len()];
         let mut referenced = Vec::new();
-        for cell in cells {
+        for cell in &self.cells {
             if !seen[cell.sample_index] {
                 seen[cell.sample_index] = true;
                 referenced.push(cell.sample_index);

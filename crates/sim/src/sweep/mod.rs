@@ -67,7 +67,6 @@
 //! ```
 
 mod grid;
-mod presolve;
 mod report;
 mod runner;
 mod spec;
@@ -75,7 +74,6 @@ mod spec;
 pub use grid::{
     CellKey, DriveProfile, FaultProfile, ScenarioGrid, ScenarioGridBuilder, SchemeLineup, SweepCell,
 };
-pub use presolve::PresolveStats;
 pub use report::{SchemeSummary, SweepCellReport, SweepReport};
-pub use runner::SweepRunner;
+pub use runner::{run_cell, SweepRunner};
 pub use spec::GridSpec;

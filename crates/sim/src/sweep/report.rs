@@ -6,7 +6,6 @@ use teg_units::{Joules, Milliseconds};
 
 use crate::comparison::ComparisonReport;
 use crate::sweep::grid::CellKey;
-use crate::sweep::presolve::PresolveStats;
 
 /// One cell's outcome: its grid coordinates plus the full lockstep
 /// comparison report of its lineup.
@@ -114,29 +113,16 @@ impl SchemeSummary {
 }
 
 /// The outcome of a sweep: one [`SweepCellReport`] per grid cell in grid
-/// order, per-scheme summary statistics, the total thermal-solve count, and
-/// (when the runner's planner ran) the pre-solve statistics.
+/// order, per-scheme summary statistics, and the total thermal-solve count.
 ///
 /// Everything in the report is ordered by cell index and first appearance,
 /// never by completion order, so `PartialEq` between two reports is a
-/// meaningful serial-vs-parallel equivalence check.  The pre-solve stats
-/// are *excluded* from equality: they describe how the sweep was scheduled
-/// (including a wall-clock time), not what it computed, so planner-on and
-/// planner-off runs of the same grid compare equal.
-#[derive(Debug, Clone)]
+/// meaningful serial-vs-parallel equivalence check.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     cells: Vec<SweepCellReport>,
     schemes: Vec<SchemeSummary>,
     thermal_solves: usize,
-    presolve: Option<PresolveStats>,
-}
-
-impl PartialEq for SweepReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.cells == other.cells
-            && self.schemes == other.schemes
-            && self.thermal_solves == other.thermal_solves
-    }
 }
 
 impl SweepReport {
@@ -146,22 +132,7 @@ impl SweepReport {
             cells,
             schemes,
             thermal_solves,
-            presolve: None,
         }
-    }
-
-    /// Attaches the pre-solve planner's statistics to the report.
-    pub(crate) fn with_presolve(mut self, presolve: PresolveStats) -> Self {
-        self.presolve = Some(presolve);
-        self
-    }
-
-    /// What the pre-solve planner did for this sweep, or `None` when the
-    /// runner ran with the planner disabled (or the report was rebuilt from
-    /// transported cells).
-    #[must_use]
-    pub const fn presolve(&self) -> Option<&PresolveStats> {
-        self.presolve.as_ref()
     }
 
     /// Reassembles a sweep report from per-cell reports and a thermal-solve

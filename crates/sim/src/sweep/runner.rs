@@ -7,8 +7,7 @@ use std::thread;
 use crate::comparison::{Comparison, ComparisonReport};
 use crate::error::SimError;
 use crate::session::{RuntimePolicy, SolverPool};
-use crate::sweep::grid::{ScenarioGrid, SweepCell};
-use crate::sweep::presolve::presolve_samples;
+use crate::sweep::grid::ScenarioGrid;
 use crate::sweep::report::{SweepCellReport, SweepReport};
 
 /// Executes every cell of a [`ScenarioGrid`] on a pool of scoped worker
@@ -26,7 +25,9 @@ use crate::sweep::report::{SweepCellReport, SweepReport};
 /// thermal inputs (e.g. fault-profile variants) resolve through the grid's
 /// [`TraceCache`](crate::TraceCache), so [`SweepReport::thermal_solves`]
 /// counts one radiator solve per drive-cycle second of each *unique thermal
-/// key*, whichever worker got there first.
+/// key*, whichever worker got there first.  Traces are solved on demand: a
+/// worker that misses a key another worker is already solving waits for
+/// that solve instead of repeating it.
 ///
 /// # Examples
 ///
@@ -54,19 +55,16 @@ use crate::sweep::report::{SweepCellReport, SweepReport};
 pub struct SweepRunner {
     workers: usize,
     runtime_policy: RuntimePolicy,
-    presolve: bool,
 }
 
 impl SweepRunner {
     /// Creates a runner sized to the machine's available parallelism, with
-    /// the default [`RuntimePolicy::Measured`] accounting and the thermal
-    /// pre-solve planner enabled.
+    /// the default [`RuntimePolicy::Measured`] accounting.
     #[must_use]
     pub fn new() -> Self {
         Self {
             workers: thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             runtime_policy: RuntimePolicy::Measured,
-            presolve: true,
         }
     }
 
@@ -96,25 +94,6 @@ impl SweepRunner {
         self
     }
 
-    /// Enables or disables the thermal pre-solve planner (enabled by
-    /// default).  With the planner on, the runner solves every missing
-    /// unique thermal key of the grid across the worker pool *before*
-    /// dispatching cells, so no worker stalls mid-sweep behind another's
-    /// radiator solve.  The planner never changes results — reports compare
-    /// equal either way; it only changes when the solves happen (and records
-    /// [`SweepReport::presolve`] stats when on).
-    #[must_use]
-    pub const fn presolve(mut self, enabled: bool) -> Self {
-        self.presolve = enabled;
-        self
-    }
-
-    /// Whether the thermal pre-solve planner will run before cell dispatch.
-    #[must_use]
-    pub const fn presolve_enabled(&self) -> bool {
-        self.presolve
-    }
-
     /// Runs every cell of the grid and assembles the report in grid order.
     ///
     /// # Errors
@@ -134,13 +113,6 @@ impl SweepRunner {
         let workers = self.workers.min(cells.len());
         let policy = self.runtime_policy;
 
-        // Pre-solve phase: warm every missing unique thermal key across the
-        // pool before any cell runs, so the demand path below never blocks
-        // a worker behind another worker's radiator solve.
-        let presolve_stats = self
-            .presolve
-            .then(|| presolve_samples(grid, &grid.unique_sample_indices(), workers));
-
         // Per-worker deques seeded round-robin; a slot per cell for results.
         let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
             .map(|w| Mutex::new((w..cells.len()).step_by(workers).collect()))
@@ -158,25 +130,7 @@ impl SweepRunner {
                     // every later cell this worker executes.
                     let mut pool = SolverPool::new();
                     while let Some(index) = next_job(queues, own) {
-                        // A panicking scheme must not take down the scope
-                        // (thread::scope re-raises worker panics on join):
-                        // confine it to its cell and report it as that
-                        // cell's error.  The state it can poison — its own
-                        // fresh scheme instances, this result slot and the
-                        // worker-local solver scratch — is local, hence the
-                        // AssertUnwindSafe.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_cell(grid, &cells[index], policy, &mut pool)
-                            }))
-                            .unwrap_or_else(|_| {
-                                Err(SimError::InvalidScenario {
-                                    reason: format!(
-                                        "sweep cell {} panicked in a scheme or solver",
-                                        cells[index].key()
-                                    ),
-                                })
-                            });
+                        let outcome = run_cell(grid, index, policy, &mut pool);
                         *results[index]
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner) = Some(outcome);
@@ -191,8 +145,8 @@ impl SweepRunner {
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
                 .unwrap_or_else(|| {
-                    // Defensive: with per-cell panic catching every popped
-                    // job fills its slot, so an empty one would mean a
+                    // Defensive: `run_cell` contains panics, so every popped
+                    // job fills its slot and an empty one would mean a
                     // scheduler bug.
                     Err(SimError::InvalidScenario {
                         reason: format!("sweep cell {} was abandoned by its worker", cell.key()),
@@ -201,11 +155,7 @@ impl SweepRunner {
             reports.push(SweepCellReport::new(cell.key().clone(), outcome?));
         }
         let thermal_solves = grid.thermal_solve_count() - solves_before;
-        let mut report = SweepReport::new(reports, thermal_solves);
-        if let Some(stats) = presolve_stats {
-            report = report.with_presolve(stats);
-        }
-        Ok(report)
+        Ok(SweepReport::new(reports, thermal_solves))
     }
 }
 
@@ -239,24 +189,55 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], own: usize) -> Option<usize> {
         .pop_back()
 }
 
-fn run_cell(
+/// Runs one cell of a grid: the single cell executor behind both
+/// [`SweepRunner`]'s workers and the `teg-served` daemon's workers, so the
+/// two produce the same result for the same cell.
+///
+/// It looks the cell up, builds its scenario and lineup, and runs the
+/// lockstep [`Comparison`] under `policy`, reusing `pool`'s electrical-solver
+/// scratch.  Everything runs inside panic containment: a scheme or solver
+/// that panics becomes this cell's error instead of unwinding into the
+/// caller's worker thread.  The state a panic can leave behind — the cell's
+/// own fresh scheme instances and the worker-local solver scratch — is
+/// local to the call, hence the `AssertUnwindSafe`.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidScenario`] when `index` is outside the grid or
+/// the cell panicked (the message names the cell key and says it panicked),
+/// and otherwise whatever the comparison returns.
+pub fn run_cell(
     grid: &ScenarioGrid,
-    cell: &SweepCell,
+    index: usize,
     policy: RuntimePolicy,
     pool: &mut SolverPool,
 ) -> Result<ComparisonReport, SimError> {
-    let scenario = grid.scenario(cell);
-    let specs = grid.lineup(cell).specs(cell.key().module_count());
-    Comparison::from_specs(scenario, &specs)
-        .runtime_policy(policy)
-        .solver_pool(pool)
-        .run()
+    let cell = grid
+        .cells()
+        .get(index)
+        .ok_or_else(|| SimError::InvalidScenario {
+            reason: format!("cell index {index} is outside the grid"),
+        })?;
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let scenario = grid.scenario(cell);
+        let specs = grid.lineup(cell).specs(cell.key().module_count());
+        Comparison::from_specs(scenario, &specs)
+            .runtime_policy(policy)
+            .solver_pool(pool)
+            .run()
+    }))
+    .unwrap_or_else(|_| {
+        Err(SimError::InvalidScenario {
+            reason: format!("sweep cell {} panicked in a scheme or solver", cell.key()),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::grid::{ScenarioGrid, SchemeLineup};
+    use crate::fault::FaultSeverity;
+    use crate::sweep::grid::{FaultProfile, ScenarioGrid, SchemeLineup};
     use teg_reconfig::SchemeSpec;
     use teg_units::Seconds;
 
@@ -301,6 +282,46 @@ mod tests {
         // be one of the two competitors.
         let best = report.best_scheme().unwrap().scheme();
         assert!(best == "INOR" || best == "Baseline", "{best}");
+
+        // The worst case for demand solving: one thermal key fielding
+        // 8 lineups on 4 workers, so every worker wants the same trace.  The
+        // key is carried by two samples (a healthy and a faulted one), so
+        // both the per-sample solve lock and the trace cache are on the
+        // path; together they hold the sweep to one radiator solve per
+        // drive second.  `barrier_released_same_key_misses_solve_exactly_once`
+        // forces the simultaneous misses this grid can only invite.
+        let one_key = || {
+            let lineup = |i| SchemeLineup::fixed(format!("lineup-{i}"), vec![SchemeSpec::inor()]);
+            ScenarioGrid::builder()
+                .module_counts([6])
+                .seeds([1])
+                .duration_seconds(12)
+                .faults([
+                    FaultProfile::none(),
+                    FaultProfile::random("moderate", FaultSeverity::moderate()),
+                ])
+                .lineups((0..8).map(lineup))
+                .build()
+                .unwrap()
+        };
+        let policy = RuntimePolicy::Fixed(Seconds::new(0.003));
+        let grid = one_key();
+        assert_eq!(grid.len(), 16);
+        assert_eq!(grid.unique_sample_indices().len(), 1);
+        let parallel = SweepRunner::new()
+            .workers(4)
+            .runtime_policy(policy)
+            .run(&grid)
+            .unwrap();
+        assert_eq!(parallel.thermal_solves(), 12);
+        let cache = grid.trace_cache().unwrap();
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
+        let serial = SweepRunner::new()
+            .workers(1)
+            .runtime_policy(policy)
+            .run(&one_key())
+            .unwrap();
+        assert_eq!(parallel, serial);
     }
 
     #[test]
@@ -342,43 +363,6 @@ mod tests {
             .run(&small_grid())
             .unwrap();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn planner_on_and_off_reports_compare_equal() {
-        let policy = RuntimePolicy::Fixed(Seconds::new(0.003));
-        let on = SweepRunner::new()
-            .workers(4)
-            .runtime_policy(policy)
-            .run(&small_grid())
-            .unwrap();
-        let off = SweepRunner::new()
-            .workers(4)
-            .runtime_policy(policy)
-            .presolve(false)
-            .run(&small_grid())
-            .unwrap();
-        // Same cells, same summaries, same thermal-solve total: the planner
-        // only moves the solves ahead of dispatch.
-        assert_eq!(on, off);
-        let stats = on.presolve().expect("planner stats recorded");
-        assert_eq!(stats.planned(), 4, "four distinct thermal keys");
-        assert_eq!(stats.solved(), 4);
-        assert_eq!(stats.skipped(), 0);
-        assert!(off.presolve().is_none(), "planner off records no stats");
-    }
-
-    #[test]
-    fn planner_skips_keys_a_warm_grid_already_solved() {
-        let grid = small_grid();
-        let runner = SweepRunner::new().workers(2);
-        runner.run(&grid).unwrap();
-        let second = runner.run(&grid).unwrap();
-        let stats = second.presolve().expect("planner stats recorded");
-        assert_eq!(stats.planned(), 4);
-        assert_eq!(stats.skipped(), 4, "everything already warm");
-        assert_eq!(stats.solved(), 0);
-        assert_eq!(second.thermal_solves(), 0);
     }
 
     #[test]
@@ -428,6 +412,15 @@ mod tests {
 
     #[test]
     fn a_panicking_scheme_becomes_that_cells_error() {
+        let grid = panicking_grid();
+        let err = SweepRunner::new().workers(2).run(&grid).unwrap_err();
+        // The panic is confined to the cell and surfaced as its error
+        // instead of tearing down the whole sweep scope.
+        assert!(err.to_string().contains("panicked"), "{err}");
+    }
+
+    /// A one-cell grid whose only scheme panics on its first decision.
+    fn panicking_grid() -> ScenarioGrid {
         use teg_array::Configuration;
         use teg_reconfig::{ReconfigDecision, ReconfigError, Reconfigurer, TelemetryWindow};
 
@@ -448,7 +441,7 @@ mod tests {
             }
         }
 
-        let grid = ScenarioGrid::builder()
+        ScenarioGrid::builder()
             .module_counts([5])
             .seeds([1])
             .duration_seconds(5)
@@ -457,11 +450,48 @@ mod tests {
                 vec![SchemeSpec::new(|| Panicking)],
             )])
             .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn run_cell_rejects_an_index_outside_the_grid() {
+        let grid = small_grid();
+        let err = run_cell(
+            &grid,
+            grid.len(),
+            RuntimePolicy::Measured,
+            &mut SolverPool::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidScenario { .. }), "{err}");
+        assert!(err.to_string().contains("outside the grid"), "{err}");
+    }
+
+    #[test]
+    fn run_cell_turns_a_panic_into_an_error_naming_the_cell() {
+        let grid = panicking_grid();
+        let key = grid.cells()[0].key().to_string();
+        let err = run_cell(&grid, 0, RuntimePolicy::Measured, &mut SolverPool::new()).unwrap_err();
+        assert!(matches!(err, SimError::InvalidScenario { .. }), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("panicked"), "{message}");
+        assert!(message.contains(&key), "{message} should name {key}");
+    }
+
+    #[test]
+    fn run_cell_matches_the_runners_report_for_that_cell() {
+        let policy = RuntimePolicy::Fixed(Seconds::new(0.003));
+        let report = SweepRunner::new()
+            .workers(2)
+            .runtime_policy(policy)
+            .run(&small_grid())
             .unwrap();
-        let err = SweepRunner::new().workers(2).run(&grid).unwrap_err();
-        // The panic is confined to the cell and surfaced as its error
-        // instead of tearing down the whole sweep scope.
-        assert!(err.to_string().contains("panicked"), "{err}");
+        let grid = small_grid();
+        let mut pool = SolverPool::new();
+        for (index, cell) in report.cells().iter().enumerate() {
+            let alone = run_cell(&grid, index, policy, &mut pool).unwrap();
+            assert_eq!(&alone, cell.report(), "cell {index}");
+        }
     }
 
     #[test]

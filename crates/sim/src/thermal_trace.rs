@@ -10,34 +10,12 @@
 //! [`SimulationEngine::run`]: crate::SimulationEngine::run
 //! [`Scenario`]: crate::Scenario
 
-use std::sync::Mutex;
-
 use teg_array::ideal_power;
 use teg_reconfig::TelemetryWindow;
-use teg_thermal::{DriveCycle, DriveSample};
 use teg_units::{Celsius, Seconds, TemperatureDelta, Watts};
 
 use crate::error::SimError;
 use crate::scenario::Scenario;
-
-/// Samples per parallel solve chunk.  Chunk boundaries are a pure function
-/// of the cycle length — never of the worker count — so the sample → chunk
-/// assignment (and therefore every written value) is identical for any
-/// number of solver threads.
-const SOLVE_CHUNK: usize = 32;
-
-/// One fixed slice of the solve: a run of drive-cycle samples plus the
-/// matching disjoint ranges of every output buffer.
-struct Chunk<'a> {
-    /// Absolute index of the chunk's first sample.
-    base: usize,
-    samples: &'a [DriveSample],
-    times: &'a mut [Seconds],
-    ambients: &'a mut [Celsius],
-    rows: &'a mut [f64],
-    deltas: &'a mut [TemperatureDelta],
-    ideal: &'a mut [Watts],
-}
 
 /// Per-module surface temperatures (and the ambient) for every sample of a
 /// scenario's drive cycle — the radiator model solved exactly once.
@@ -97,100 +75,31 @@ impl ThermalTrace {
     /// Propagates [`SimError::Thermal`] from the radiator solve and
     /// [`SimError::Array`] from the ideal-power bound.
     pub fn solve(scenario: &Scenario) -> Result<Self, SimError> {
-        Self::solve_with_threads(scenario, 1)
-    }
+        let array = scenario.array();
+        let placement = scenario.placement();
+        let samples = scenario.drive_cycle().samples();
+        let width = placement.module_count();
+        let len = samples.len();
 
-    /// Like [`ThermalTrace::solve`], but splits the cycle into fixed
-    /// 32-sample chunks executed across `threads` scoped threads.
-    ///
-    /// Every sample's value depends only on that sample's drive-cycle entry,
-    /// and each chunk writes a disjoint strided range of the trace buffers,
-    /// so the solved trace is bit-identical to the serial loop for any
-    /// thread count — the chunk boundaries are a pure function of the cycle
-    /// length, never of `threads`.  `threads <= 1` runs the chunks in order
-    /// on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError::Thermal`] from the radiator solve and
-    /// [`SimError::Array`] from the ideal-power bound.  When several chunks
-    /// fail, the error of the earliest failing sample is returned, matching
-    /// what the serial loop would have reported.
-    pub fn solve_with_threads(scenario: &Scenario, threads: usize) -> Result<Self, SimError> {
-        Self::solve_chunked(scenario, threads, SOLVE_CHUNK)
-    }
-
-    /// [`ThermalTrace::solve_with_threads`] with an explicit chunk size, so
-    /// the equivalence tests can probe arbitrary chunk boundaries.  Not part
-    /// of the public API.
-    #[doc(hidden)]
-    pub fn solve_chunked(
-        scenario: &Scenario,
-        threads: usize,
-        chunk: usize,
-    ) -> Result<Self, SimError> {
-        let cycle: &DriveCycle = scenario.drive_cycle();
-        let width = scenario.placement().module_count();
-        let len = cycle.len();
-        let chunk = chunk.max(1);
-
-        let mut times = vec![Seconds::ZERO; len];
-        let mut ambients = vec![Celsius::new(0.0); len];
+        let mut times = Vec::with_capacity(len);
+        let mut ambients = Vec::with_capacity(len);
         let mut rows = vec![0.0; len * width];
         let mut deltas = vec![TemperatureDelta::ZERO; len * width];
-        let mut ideal = vec![Watts::ZERO; len];
+        let mut ideal = Vec::with_capacity(len);
 
-        let samples = cycle.samples();
-        let jobs: Vec<Chunk<'_>> = samples
-            .chunks(chunk)
-            .zip(times.chunks_mut(chunk))
-            .zip(ambients.chunks_mut(chunk))
-            .zip(rows.chunks_mut(chunk * width))
-            .zip(deltas.chunks_mut(chunk * width))
-            .zip(ideal.chunks_mut(chunk))
-            .enumerate()
-            .map(
-                |(i, (((((samples, times), ambients), rows), deltas), ideal))| Chunk {
-                    base: i * chunk,
-                    samples,
-                    times,
-                    ambients,
-                    rows,
-                    deltas,
-                    ideal,
-                },
-            )
-            .collect();
-
-        let workers = threads.min(jobs.len()).max(1);
-        if workers <= 1 {
-            for job in jobs {
-                Self::solve_chunk(scenario, width, job).map_err(|(_, e)| e)?;
-            }
-        } else {
-            let queue = Mutex::new(jobs.into_iter());
-            // The earliest failing sample, so the parallel path reports the
-            // same error the serial loop would have stopped at.
-            let failure: Mutex<Option<(usize, SimError)>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let Some(job) = queue.lock().expect("queue poisoned").next() else {
-                            break;
-                        };
-                        if let Err((index, error)) = Self::solve_chunk(scenario, width, job) {
-                            let mut slot = failure.lock().expect("failure slot poisoned");
-                            if slot.as_ref().is_none_or(|(held, _)| index < *held) {
-                                *slot = Some((index, error));
-                            }
-                            break;
-                        }
-                    });
-                }
-            });
-            if let Some((_, error)) = failure.into_inner().expect("failure slot poisoned") {
-                return Err(error);
-            }
+        for (index, sample) in samples.iter().enumerate() {
+            let profile = scenario
+                .radiator()
+                .surface_profile(&sample.coolant(), &sample.ambient())?;
+            let row = &mut rows[index * width..(index + 1) * width];
+            profile.sample_into_slice(placement, row);
+            scenario.count_thermal_solve();
+            let ambient = sample.ambient().temperature();
+            let delta = &mut deltas[index * width..(index + 1) * width];
+            TelemetryWindow::deltas_from_row_into_slice(row, ambient, delta);
+            ideal.push(ideal_power(array.modules(), delta)?);
+            times.push(sample.time());
+            ambients.push(ambient);
         }
 
         Ok(Self {
@@ -204,41 +113,12 @@ impl ThermalTrace {
         })
     }
 
-    /// Solves one chunk's samples into its disjoint buffer slices.  On
-    /// failure returns the absolute index of the first failing sample so the
-    /// caller can pick the earliest error across chunks.
-    fn solve_chunk(
-        scenario: &Scenario,
-        width: usize,
-        job: Chunk<'_>,
-    ) -> Result<(), (usize, SimError)> {
-        let array = scenario.array();
-        let placement = scenario.placement();
-        for (offset, sample) in job.samples.iter().enumerate() {
-            let index = job.base + offset;
-            let fail = |e: SimError| (index, e);
-            let profile = scenario
-                .radiator()
-                .surface_profile(&sample.coolant(), &sample.ambient())
-                .map_err(|e| fail(e.into()))?;
-            let row = &mut job.rows[offset * width..(offset + 1) * width];
-            profile.sample_into_slice(placement, row);
-            scenario.count_thermal_solve();
-            let ambient = sample.ambient().temperature();
-            let delta = &mut job.deltas[offset * width..(offset + 1) * width];
-            TelemetryWindow::deltas_from_row_into_slice(row, ambient, delta);
-            job.ideal[offset] = ideal_power(array.modules(), delta).map_err(|e| fail(e.into()))?;
-            job.times[offset] = sample.time();
-            job.ambients[offset] = ambient;
-        }
-        Ok(())
-    }
-
     /// Copies the `[start, end)` sample range into a standalone trace.
     ///
-    /// [`DriveCycle::window`] keeps the original sample timestamps, so the
-    /// result is bit-identical to freshly solving the windowed cycle — the
-    /// basis for [`Scenario::window`] reusing the parent's solved trace.
+    /// [`DriveCycle::window`](teg_thermal::DriveCycle::window) keeps the
+    /// original sample timestamps, so the result is bit-identical to freshly
+    /// solving the windowed cycle — the basis for [`Scenario::window`]
+    /// reusing the parent's solved trace.
     ///
     /// # Panics
     ///
@@ -480,24 +360,6 @@ mod tests {
             let fresh_deltas =
                 TelemetryWindow::deltas_from_row(row, sample.ambient().temperature());
             assert_eq!(fresh_deltas.as_slice(), trace.deltas(i), "deltas {i}");
-        }
-    }
-
-    #[test]
-    fn chunked_parallel_solve_equals_the_serial_solve() {
-        // 100 samples spans several SOLVE_CHUNK boundaries plus a ragged
-        // tail; every thread count must produce the identical trace value.
-        let s = scenario(7, 100, 8);
-        let serial = ThermalTrace::solve(&s).unwrap();
-        for threads in [2, 3, 4, 9] {
-            let parallel = ThermalTrace::solve_with_threads(&s, threads).unwrap();
-            assert_eq!(serial, parallel, "{threads} threads");
-        }
-        // Chunk size overrides (including degenerate ones) cannot move the
-        // values either — boundaries only partition the work.
-        for chunk in [1, 7, 100, 1000] {
-            let chunked = ThermalTrace::solve_chunked(&s, 4, chunk).unwrap();
-            assert_eq!(serial, chunked, "chunk size {chunk}");
         }
     }
 

@@ -277,56 +277,31 @@ impl TraceCache {
 
     /// Resolves the scenario's trace through the cache: an equal key's
     /// already-solved trace when one exists, a fresh solve (performed and
-    /// counted by *this* scenario) otherwise.
+    /// counted by *this* scenario) otherwise.  The boolean reports whether
+    /// this call ran the solve.
+    ///
+    /// Concurrent misses on one key collapse to a single solve: the first
+    /// caller runs it under the entry's solve lock while the others wait and
+    /// then count as hits, so a sweep solves each unique key exactly once
+    /// however many workers miss it together.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError`] from [`ThermalTrace::solve`]; a failed solve
     /// leaves the entry unsolved, so a later caller retries rather than
     /// inheriting the failure.
-    pub(crate) fn trace_for(&self, scenario: &Scenario) -> Result<Arc<ThermalTrace>, SimError> {
+    pub(crate) fn trace_for(
+        &self,
+        scenario: &Scenario,
+    ) -> Result<(Arc<ThermalTrace>, bool), SimError> {
         // Capacity 0: cache nothing.  Solve privately without touching the
         // entry list — admitting a key only to evict it in the same breath
         // would report phantom evictions and serialise unrelated solves.
         if self.inner.capacity == Some(0) {
             let solved = Arc::new(ThermalTrace::solve(scenario)?);
             self.inner.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(solved);
+            return Ok((solved, true));
         }
-        self.resolve(scenario, 1).map(|(trace, _)| trace)
-    }
-
-    /// Solves the scenario's trace into the cache ahead of demand, splitting
-    /// the solve across `threads` chunk workers (see
-    /// [`ThermalTrace::solve_with_threads`]).  Returns `true` when *this*
-    /// call performed the solve, `false` when an equal key was already solved
-    /// (or being solved by another caller).  A cache-nothing configuration
-    /// (`with_capacity(0)`) has nothing to pre-populate, so the call is a
-    /// no-op returning `false`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the solve; the entry is left unsolved so
-    /// a later demand-path request retries.
-    pub(crate) fn presolve_for(
-        &self,
-        scenario: &Scenario,
-        threads: usize,
-    ) -> Result<bool, SimError> {
-        if self.inner.capacity == Some(0) {
-            return Ok(false);
-        }
-        self.resolve(scenario, threads).map(|(_, solved)| solved)
-    }
-
-    /// The shared lookup-or-solve path behind [`TraceCache::trace_for`] and
-    /// [`TraceCache::presolve_for`].  The boolean reports whether this call
-    /// ran the solve.
-    fn resolve(
-        &self,
-        scenario: &Scenario,
-        threads: usize,
-    ) -> Result<(Arc<ThermalTrace>, bool), SimError> {
         let key = ThermalKey::of(scenario);
         let (cell, registered) = {
             let mut entries = self.entries();
@@ -370,7 +345,7 @@ impl TraceCache {
             self.inner.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((Arc::clone(trace), false));
         }
-        let solved = Arc::new(ThermalTrace::solve_with_threads(scenario, threads)?);
+        let solved = Arc::new(ThermalTrace::solve(scenario)?);
         let stored = Arc::clone(cell.trace.get_or_init(|| Arc::clone(&solved)));
         drop(guard);
         drop(in_flight);
