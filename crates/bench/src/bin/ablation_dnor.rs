@@ -4,7 +4,7 @@
 
 use teg_array::SwitchingOverheadModel;
 use teg_reconfig::{Dnor, DnorConfig, InorConfig};
-use teg_sim::{Scenario, SimulationEngine};
+use teg_sim::{Scenario, SimSession};
 use teg_units::{Joules, Seconds};
 
 fn scaled_overhead(factor: f64) -> SwitchingOverheadModel {
@@ -18,20 +18,13 @@ fn scaled_overhead(factor: f64) -> SwitchingOverheadModel {
 }
 
 fn main() {
-    // A 240-second slice keeps the ablation grid affordable while spanning
-    // several drive phases.
-    let scenario = Scenario::builder()
-        .module_count(100)
-        .duration_seconds(240)
-        .seed(2024)
-        .build()
-        .expect("scenario");
-
     println!("# DNOR ablation over prediction horizon and overhead scale");
     println!("horizon_s,overhead_scale,energy_j,overhead_j,switches,avg_runtime_ms");
     for &horizon in &[1usize, 2, 4, 8] {
         for &scale in &[0.1_f64, 1.0, 10.0] {
             let overhead = scaled_overhead(scale);
+            // A 240-second slice keeps the ablation grid affordable while
+            // spanning several drive phases.
             let scenario = Scenario::builder()
                 .module_count(100)
                 .duration_seconds(240)
@@ -39,7 +32,6 @@ fn main() {
                 .overhead(overhead)
                 .build()
                 .expect("scenario");
-            let engine = SimulationEngine::new(scenario);
             let config = DnorConfig::new(
                 InorConfig::default(),
                 horizon,
@@ -48,7 +40,10 @@ fn main() {
                 Seconds::new(1.0),
             )
             .expect("config");
-            let report = engine.run(&mut Dnor::new(config)).expect("simulation");
+            let mut dnor = Dnor::new(config);
+            let report = SimSession::new(&scenario, &mut dnor)
+                .and_then(SimSession::run)
+                .expect("simulation");
             println!(
                 "{horizon},{scale},{:.1},{:.3},{},{:.4}",
                 report.net_energy().value(),
@@ -58,6 +53,5 @@ fn main() {
             );
         }
     }
-    let _ = SimulationEngine::new(scenario); // keep the base scenario alive for clarity
     println!("# Longer horizons amortise evaluation cost; inflated overhead suppresses switching.");
 }

@@ -12,9 +12,6 @@
 //! | `table1_comparison` | Table I — 800-second energy / overhead / runtime |
 //! | `scalability_sweep` | §I/§VI scalability claim — runtime vs array size |
 //! | `ablation_dnor` | (ours) DNOR sensitivity to horizon and overhead |
-//!
-//! The Criterion benches under `benches/` measure the runtime column of
-//! Table I and the scalability trend with statistical rigour.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

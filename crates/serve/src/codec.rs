@@ -35,7 +35,7 @@ use teg_reconfig::RuntimeStats;
 use teg_sim::{CellKey, ComparisonReport, SimulationReport, StepRecord, SweepCellReport};
 use teg_units::{Joules, Seconds, Watts};
 
-use crate::wire::WireError;
+use crate::wire::{malformed, Lines, WireError};
 
 /// Encodes an `f64` as the sixteen-digit lowercase hex of its bit pattern.
 #[must_use]
@@ -55,12 +55,6 @@ pub fn parse_f64_hex(token: &str) -> Result<f64, WireError> {
     u64::from_str_radix(token, 16)
         .map(f64::from_bits)
         .map_err(|_| malformed(format!("bad f64 hex token `{token}`")))
-}
-
-fn malformed(reason: impl Into<String>) -> WireError {
-    WireError::Malformed {
-        reason: reason.into(),
-    }
 }
 
 /// Serialises one cell report into a CELL frame payload.
@@ -109,53 +103,6 @@ pub fn encode_cell(cell: &SweepCellReport) -> String {
         }
     }
     out
-}
-
-/// Cursor over the payload lines with keyed-line helpers.
-struct Lines<'a> {
-    iter: std::str::Lines<'a>,
-    line_no: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            iter: text.lines(),
-            line_no: 0,
-        }
-    }
-
-    /// The rest of the next line after the expected key.
-    fn rest(&mut self, key: &str) -> Result<&'a str, WireError> {
-        self.line_no += 1;
-        let line = self
-            .iter
-            .next()
-            .ok_or_else(|| malformed(format!("payload ended before `{key}` line")))?;
-        line.strip_prefix(key)
-            .and_then(|rest| {
-                rest.strip_prefix(' ')
-                    .or(Some(rest).filter(|r| r.is_empty()))
-            })
-            .ok_or_else(|| {
-                malformed(format!(
-                    "line {}: expected `{key} …`, got `{line}`",
-                    self.line_no
-                ))
-            })
-    }
-
-    fn usize(&mut self, key: &str) -> Result<usize, WireError> {
-        let rest = self.rest(key)?;
-        rest.parse()
-            .map_err(|_| malformed(format!("`{key}` value `{rest}` is not an integer")))
-    }
-
-    fn u64(&mut self, key: &str) -> Result<u64, WireError> {
-        let rest = self.rest(key)?;
-        rest.parse()
-            .map_err(|_| malformed(format!("`{key}` value `{rest}` is not an integer")))
-    }
 }
 
 fn fields<'a, const N: usize>(line: &'a str, what: &str) -> Result<[&'a str; N], WireError> {

@@ -9,16 +9,10 @@
 use teg_sim::{GridSpec, RuntimePolicy};
 use teg_units::Seconds;
 
-use crate::wire::WireError;
+use crate::wire::{malformed, Lines, WireError};
 
 /// Longest accepted request id.
 pub const MAX_ID_LEN: usize = 64;
-
-fn malformed(reason: impl Into<String>) -> WireError {
-    WireError::Malformed {
-        reason: reason.into(),
-    }
-}
 
 /// Checks a client-chosen request id: 1–64 characters from
 /// `[A-Za-z0-9._-]`.  Ids name checkpoint files, so the charset is
@@ -82,42 +76,6 @@ pub fn parse_policy(token: &str) -> Result<RuntimePolicy, WireError> {
         return Ok(RuntimePolicy::Fixed(Seconds::new(value)));
     }
     Err(malformed(format!("unknown runtime policy `{token}`")))
-}
-
-/// One `key value` line cursor shared by the control-payload decoders.
-struct Lines<'a>(std::str::Lines<'a>);
-
-impl<'a> Lines<'a> {
-    fn new(text: &'a str) -> Self {
-        Self(text.lines())
-    }
-
-    fn rest(&mut self, key: &str) -> Result<&'a str, WireError> {
-        let line = self
-            .0
-            .next()
-            .ok_or_else(|| malformed(format!("payload ended before `{key}` line")))?;
-        match line.strip_prefix(key) {
-            Some("") => Ok(""),
-            Some(rest) => rest
-                .strip_prefix(' ')
-                .ok_or_else(|| malformed(format!("expected `{key} …`, got `{line}`"))),
-            None => Err(malformed(format!("expected `{key} …`, got `{line}`"))),
-        }
-    }
-
-    fn usize(&mut self, key: &str) -> Result<usize, WireError> {
-        let rest = self.rest(key)?;
-        rest.parse()
-            .map_err(|_| malformed(format!("`{key}` value `{rest}` is not an integer")))
-    }
-
-    fn done(mut self) -> Result<(), WireError> {
-        match self.0.next() {
-            None => Ok(()),
-            Some(extra) => Err(malformed(format!("unexpected trailing line `{extra}`"))),
-        }
-    }
 }
 
 /// A client's sweep submission.

@@ -99,9 +99,7 @@ impl Frame {
     ///
     /// Returns [`WireError::Malformed`] when the payload is not UTF-8.
     pub fn text(&self) -> Result<&str, WireError> {
-        std::str::from_utf8(&self.payload).map_err(|_| WireError::Malformed {
-            reason: "frame payload is not UTF-8".into(),
-        })
+        std::str::from_utf8(&self.payload).map_err(|_| malformed("frame payload is not UTF-8"))
     }
 }
 
@@ -176,6 +174,69 @@ impl std::error::Error for WireError {
 impl From<io::Error> for WireError {
     fn from(err: io::Error) -> Self {
         Self::Io(err)
+    }
+}
+
+/// A [`WireError::Malformed`] with the given reason.
+pub(crate) fn malformed(reason: impl Into<String>) -> WireError {
+    WireError::Malformed {
+        reason: reason.into(),
+    }
+}
+
+/// Cursor over a text payload's `key value` lines, shared by the CELL codec
+/// and the control-payload decoders.
+pub(crate) struct Lines<'a> {
+    iter: std::str::Lines<'a>,
+    line_no: usize,
+}
+
+impl<'a> Lines<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self {
+            iter: text.lines(),
+            line_no: 0,
+        }
+    }
+
+    /// The rest of the next line after the expected key.
+    pub(crate) fn rest(&mut self, key: &str) -> Result<&'a str, WireError> {
+        self.line_no += 1;
+        let line = self
+            .iter
+            .next()
+            .ok_or_else(|| malformed(format!("payload ended before `{key}` line")))?;
+        match line.strip_prefix(key) {
+            Some("") => Some(""),
+            Some(rest) => rest.strip_prefix(' '),
+            None => None,
+        }
+        .ok_or_else(|| {
+            malformed(format!(
+                "line {}: expected `{key} …`, got `{line}`",
+                self.line_no
+            ))
+        })
+    }
+
+    pub(crate) fn usize(&mut self, key: &str) -> Result<usize, WireError> {
+        let rest = self.rest(key)?;
+        rest.parse()
+            .map_err(|_| malformed(format!("`{key}` value `{rest}` is not an integer")))
+    }
+
+    pub(crate) fn u64(&mut self, key: &str) -> Result<u64, WireError> {
+        let rest = self.rest(key)?;
+        rest.parse()
+            .map_err(|_| malformed(format!("`{key}` value `{rest}` is not an integer")))
+    }
+
+    /// Fails unless every line has been consumed.
+    pub(crate) fn done(mut self) -> Result<(), WireError> {
+        match self.iter.next() {
+            None => Ok(()),
+            Some(extra) => Err(malformed(format!("unexpected trailing line `{extra}`"))),
+        }
     }
 }
 

@@ -18,10 +18,10 @@
 //! [`SimSession`] is the primary API: a step-wise driver yielding one
 //! [`StepRecord`] per drive-cycle second, with [`StepObserver`] sinks
 //! ([`CsvSink`], [`StepFn`], your own) for streaming export and an
-//! [`Iterator`] adapter.  [`Comparison`] drives several schemes in lockstep
-//! over the shared thermal trace and renders Table I in one pass.
-//! [`SimulationEngine::run`] remains as a thin run-to-completion wrapper
-//! returning the classic [`SimulationReport`].
+//! [`Iterator`] adapter; [`SimSession::run`] drives it to completion and
+//! returns the classic [`SimulationReport`].  [`Comparison`] drives several
+//! schemes in lockstep over the shared thermal trace and renders Table I in
+//! one pass.
 //!
 //! # Examples
 //!
@@ -65,7 +65,6 @@
 
 mod comparison;
 mod csv;
-mod engine;
 mod error;
 mod fault;
 mod record;
@@ -78,7 +77,6 @@ mod trace_cache;
 
 pub use comparison::{Comparison, ComparisonReport};
 pub use csv::{records_to_csv, CsvSink, CSV_HEADER};
-pub use engine::SimulationEngine;
 pub use error::SimError;
 pub use fault::{FaultAction, FaultEvent, FaultPlan, FaultSeverity};
 pub use record::StepRecord;

@@ -13,11 +13,11 @@ use crate::record::StepRecord;
 ///
 /// ```
 /// use teg_reconfig::Inor;
-/// use teg_sim::{Scenario, SimulationEngine};
+/// use teg_sim::{Scenario, SimSession};
 ///
 /// # fn main() -> Result<(), teg_sim::SimError> {
 /// let scenario = Scenario::builder().module_count(10).duration_seconds(30).seed(1).build()?;
-/// let report = SimulationEngine::new(scenario).run(&mut Inor::default())?;
+/// let report = SimSession::new(&scenario, &mut Inor::default())?.run()?;
 /// assert_eq!(report.scheme(), "INOR");
 /// assert!(report.net_energy().value() > 0.0);
 /// assert!(report.net_energy() <= report.gross_energy());

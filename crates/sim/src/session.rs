@@ -773,7 +773,7 @@ impl Iterator for SimSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teg_reconfig::{Dnor, Inor, InorConfig, StaticBaseline};
+    use teg_reconfig::{Dnor, Ehtr, Inor, InorConfig, StaticBaseline};
 
     fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
         Scenario::builder()
@@ -782,6 +782,97 @@ mod tests {
             .seed(seed)
             .build()
             .expect("valid scenario")
+    }
+
+    fn run(s: &Scenario, scheme: &mut dyn Reconfigurer) -> SimulationReport {
+        SimSession::new(s, scheme).unwrap().run().unwrap()
+    }
+
+    #[test]
+    fn report_has_one_record_per_second() {
+        let s = scenario(12, 25, 1);
+        let report = run(&s, &mut StaticBaseline::square_grid(12));
+        assert_eq!(report.records().len(), 25);
+        assert_eq!(report.scheme(), "Baseline");
+        assert!(report.net_energy().value() > 0.0);
+    }
+
+    #[test]
+    fn baseline_never_switches_after_initial_wiring() {
+        let s = scenario(16, 30, 2);
+        let report = run(&s, &mut StaticBaseline::square_grid(16));
+        // The session already starts from the square grid, so the baseline
+        // has nothing to change.
+        assert_eq!(report.switch_count(), 0);
+        assert_eq!(report.overhead_energy(), Joules::ZERO);
+        assert_eq!(report.average_runtime().value(), 0.0);
+    }
+
+    #[test]
+    fn inor_beats_the_baseline_on_energy() {
+        let s = scenario(30, 40, 3);
+        let inor = run(&s, &mut Inor::default());
+        let baseline = run(&s, &mut StaticBaseline::square_grid(30));
+        assert!(
+            inor.net_energy().value() > baseline.net_energy().value(),
+            "INOR {} should beat baseline {}",
+            inor.net_energy(),
+            baseline.net_energy()
+        );
+    }
+
+    #[test]
+    fn dnor_switches_far_less_and_accumulates_less_overhead_than_inor() {
+        let s = scenario(24, 60, 4);
+        let inor = run(&s, &mut Inor::default());
+        let dnor = run(&s, &mut Dnor::default());
+        assert!(dnor.switch_count() < inor.switch_count());
+        assert!(dnor.overhead_energy().value() < inor.overhead_energy().value());
+        // And its net energy is at least as good (it loses less to overhead).
+        assert!(dnor.net_energy().value() >= 0.98 * inor.net_energy().value());
+    }
+
+    #[test]
+    fn net_energy_never_exceeds_gross_or_ideal() {
+        let s = scenario(20, 30, 5);
+        for report in [
+            run(&s, &mut Inor::default()),
+            run(&s, &mut Dnor::default()),
+            run(&s, &mut StaticBaseline::square_grid(20)),
+        ] {
+            assert!(report.net_energy() <= report.gross_energy());
+            assert!(report.net_energy().value() <= report.ideal_energy().value() + 1e-6);
+            assert!(report.ideal_fraction() <= 1.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn ehtr_matches_inor_energy_but_runs_slower() {
+        let s = scenario(20, 20, 7);
+        let inor = run(&s, &mut Inor::default());
+        let ehtr = run(&s, &mut Ehtr::default());
+        let ratio = ehtr.net_energy().value() / inor.net_energy().value();
+        assert!((0.95..=1.05).contains(&ratio), "energy ratio {ratio}");
+        assert!(ehtr.runtime().total().value() >= inor.runtime().total().value());
+    }
+
+    #[test]
+    fn runs_are_reproducible_up_to_timing_jitter() {
+        // The physics and the decisions are deterministic; only the measured
+        // wall-clock computation time (and hence a few millijoules of
+        // overhead) varies between runs.
+        let s = scenario(14, 20, 8);
+        let a = run(&s, &mut Dnor::default());
+        let b = run(&s, &mut Dnor::default());
+        assert_eq!(a.switch_count(), b.switch_count());
+        assert_eq!(a.gross_energy(), b.gross_energy());
+        let diff = (a.net_energy().value() - b.net_energy().value()).abs();
+        assert!(
+            diff < 1.0,
+            "net energy differs by {diff} J between identical runs"
+        );
+        // The array power trace (pre-overhead) is bit-identical.
+        assert_eq!(a.power_trace(), b.power_trace());
     }
 
     #[test]

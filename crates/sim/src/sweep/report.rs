@@ -16,17 +16,13 @@ pub struct SweepCellReport {
 }
 
 impl SweepCellReport {
-    pub(crate) fn new(key: CellKey, report: ComparisonReport) -> Self {
-        Self { key, report }
-    }
-
     /// Reassembles a cell report from its coordinates and comparison report
     /// — the wire-codec inverse of [`SweepCellReport::key`] and
     /// [`SweepCellReport::report`].  Within one process, cell reports come
     /// from [`SweepRunner::run`](crate::SweepRunner::run).
     #[must_use]
     pub fn from_parts(key: CellKey, report: ComparisonReport) -> Self {
-        Self::new(key, report)
+        Self { key, report }
     }
 
     /// The cell's grid coordinates.
@@ -126,15 +122,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    pub(crate) fn new(cells: Vec<SweepCellReport>, thermal_solves: usize) -> Self {
-        let schemes = summarise(&cells);
-        Self {
-            cells,
-            schemes,
-            thermal_solves,
-        }
-    }
-
     /// Reassembles a sweep report from per-cell reports and a thermal-solve
     /// count.  The per-scheme summaries are *recomputed* from the cells with
     /// the same deterministic aggregation [`SweepRunner`](crate::SweepRunner)
@@ -142,7 +129,12 @@ impl SweepReport {
     /// equal (`PartialEq`) to the in-process original.
     #[must_use]
     pub fn from_cells(cells: Vec<SweepCellReport>, thermal_solves: usize) -> Self {
-        Self::new(cells, thermal_solves)
+        let schemes = summarise(&cells);
+        Self {
+            cells,
+            schemes,
+            thermal_solves,
+        }
     }
 
     /// The per-cell reports in grid order.

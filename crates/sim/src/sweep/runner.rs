@@ -152,10 +152,10 @@ impl SweepRunner {
                         reason: format!("sweep cell {} was abandoned by its worker", cell.key()),
                     })
                 });
-            reports.push(SweepCellReport::new(cell.key().clone(), outcome?));
+            reports.push(SweepCellReport::from_parts(cell.key().clone(), outcome?));
         }
         let thermal_solves = grid.thermal_solve_count() - solves_before;
-        Ok(SweepReport::new(reports, thermal_solves))
+        Ok(SweepReport::from_cells(reports, thermal_solves))
     }
 }
 

@@ -1,13 +1,12 @@
 //! The solved thermal history of a scenario, computed once and shared.
 //!
-//! Earlier revisions re-ran the ε-NTU radiator solve inside every
-//! [`SimulationEngine::run`], so comparing the paper's four schemes solved
-//! the identical thermal problem four times.  [`ThermalTrace`] hoists that
-//! work out of the simulation loop: it is computed lazily, cached on the
-//! [`Scenario`], and borrowed by every session and comparison that replays
-//! the same drive cycle.
+//! Earlier revisions re-ran the ε-NTU radiator solve inside every scheme's
+//! run, so comparing the paper's four schemes solved the identical thermal
+//! problem four times.  [`ThermalTrace`] hoists that work out of the
+//! simulation loop: it is computed lazily, cached on the [`Scenario`], and
+//! borrowed by every session and comparison that replays the same drive
+//! cycle.
 //!
-//! [`SimulationEngine::run`]: crate::SimulationEngine::run
 //! [`Scenario`]: crate::Scenario
 
 use teg_array::ideal_power;

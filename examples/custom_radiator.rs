@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example custom_radiator`.
 
 use teg_harvest::reconfig::SchemeSpec;
-use teg_harvest::sim::{Scenario, SimulationEngine};
+use teg_harvest::sim::{Scenario, SimSession};
 use teg_harvest::thermal::RadiatorGeometry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scenario.module_count()
     );
 
-    let engine = SimulationEngine::new(scenario);
     let specs = [
         SchemeSpec::dnor(),
         SchemeSpec::inor(),
@@ -34,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for spec in specs {
         let mut scheme = spec.build();
-        let report = engine.run(scheme.as_mut())?;
+        let report = SimSession::new(&scenario, scheme.as_mut())?.run()?;
         println!(
             "{:<10} {:>14.1} {:>14.2} {:>12} {:>14.3}",
             report.scheme(),

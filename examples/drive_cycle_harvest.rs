@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example drive_cycle_harvest`.
 
 use teg_harvest::reconfig::SchemeSpec;
-use teg_harvest::sim::{Scenario, SimulationEngine};
+use teg_harvest::sim::{Scenario, SimSession};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scenario = Scenario::builder()
@@ -14,7 +14,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .duration_seconds(120)
         .seed(2024)
         .build()?;
-    let engine = SimulationEngine::new(scenario);
 
     println!(
         "{:<10} {:>14} {:>16} {:>10} {:>16}",
@@ -24,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Table I and the sweep subsystem use.
     for spec in SchemeSpec::paper_field(100) {
         let mut scheme = spec.build();
-        let report = engine.run(scheme.as_mut())?;
+        let report = SimSession::new(&scenario, scheme.as_mut())?.run()?;
         let (energy, overhead, runtime) = report.table1_row();
         println!(
             "{:<10} {:>14.1} {:>16.2} {:>10} {:>16.3}",

@@ -1,8 +1,8 @@
 //! End-to-end comparison of all four schemes on one shared scenario —
 //! asserting the qualitative shape of the paper's Table I.
 
-use teg_harvest::reconfig::{Dnor, Ehtr, Inor, StaticBaseline};
-use teg_harvest::sim::{Scenario, SimulationEngine, SimulationReport};
+use teg_harvest::reconfig::{Dnor, Ehtr, Inor, Reconfigurer, StaticBaseline};
+use teg_harvest::sim::{Scenario, SimSession, SimulationReport};
 
 fn run_all(modules: usize, seconds: usize, seed: u64) -> [SimulationReport; 4] {
     let scenario = Scenario::builder()
@@ -11,14 +11,16 @@ fn run_all(modules: usize, seconds: usize, seed: u64) -> [SimulationReport; 4] {
         .seed(seed)
         .build()
         .expect("valid scenario");
-    let engine = SimulationEngine::new(scenario);
+    let run = |scheme: &mut dyn Reconfigurer| {
+        SimSession::new(&scenario, scheme)
+            .and_then(SimSession::run)
+            .expect("run")
+    };
     [
-        engine.run(&mut Dnor::default()).expect("DNOR run"),
-        engine.run(&mut Inor::default()).expect("INOR run"),
-        engine.run(&mut Ehtr::default()).expect("EHTR run"),
-        engine
-            .run(&mut StaticBaseline::square_grid(modules))
-            .expect("baseline run"),
+        run(&mut Dnor::default()),
+        run(&mut Inor::default()),
+        run(&mut Ehtr::default()),
+        run(&mut StaticBaseline::square_grid(modules)),
     ]
 }
 

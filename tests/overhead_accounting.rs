@@ -1,9 +1,9 @@
 //! Switching-overhead accounting across the whole stack: the Section III-C
-//! model, the engine's bookkeeping and the DNOR switch decision.
+//! model, the session's bookkeeping and the DNOR switch decision.
 
 use teg_harvest::array::{Configuration, SwitchingOverheadModel};
 use teg_harvest::reconfig::{Dnor, DnorConfig, Inor, InorConfig};
-use teg_harvest::sim::{Scenario, SimulationEngine};
+use teg_harvest::sim::{Scenario, SimSession};
 use teg_harvest::units::{Joules, Seconds, Watts};
 
 #[test]
@@ -40,8 +40,10 @@ fn engine_charges_overhead_only_when_something_happens() {
         .seed(77)
         .build()
         .unwrap();
-    let engine = SimulationEngine::new(scenario);
-    let report = engine.run(&mut Inor::default()).unwrap();
+    let report = SimSession::new(&scenario, &mut Inor::default())
+        .unwrap()
+        .run()
+        .unwrap();
     // INOR evaluates twice per second, so every step carries at least the
     // evaluation-only overhead.
     assert!(report
@@ -84,8 +86,10 @@ fn inflated_overhead_makes_dnor_refuse_to_switch() {
         .seed(13)
         .build()
         .unwrap();
-    let engine = SimulationEngine::new(scenario);
-    let report = engine.run(&mut Dnor::new(config)).unwrap();
+    let report = SimSession::new(&scenario, &mut Dnor::new(config))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(
         report.switch_count(),
         0,
@@ -93,7 +97,10 @@ fn inflated_overhead_makes_dnor_refuse_to_switch() {
     );
 
     // With the normal overhead model it does reconfigure at least once.
-    let report = engine.run(&mut Dnor::default()).unwrap();
+    let report = SimSession::new(&scenario, &mut Dnor::default())
+        .unwrap()
+        .run()
+        .unwrap();
     assert!(report.switch_count() >= 1);
 }
 
@@ -108,10 +115,15 @@ fn zero_overhead_collapses_dnor_towards_inor_behaviour() {
         .overhead(zero)
         .build()
         .unwrap();
-    let engine = SimulationEngine::new(scenario);
     let dnor_cfg = DnorConfig::new(InorConfig::default(), 2, 5, zero, Seconds::new(1.0)).unwrap();
-    let dnor = engine.run(&mut Dnor::new(dnor_cfg)).unwrap();
-    let inor = engine.run(&mut Inor::default()).unwrap();
+    let dnor = SimSession::new(&scenario, &mut Dnor::new(dnor_cfg))
+        .unwrap()
+        .run()
+        .unwrap();
+    let inor = SimSession::new(&scenario, &mut Inor::default())
+        .unwrap()
+        .run()
+        .unwrap();
     // With no switching penalty at all, both schemes harvest essentially the
     // same energy.
     let ratio = dnor.net_energy().value() / inor.net_energy().value();

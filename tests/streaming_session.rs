@@ -1,9 +1,9 @@
 //! Integration tests of the streaming session API: lockstep comparison
-//! equivalence with sequential engine runs, the shared-thermal-trace solve
+//! equivalence with sequential session runs, the shared-thermal-trace solve
 //! count, and the long-period invocation regression.
 
-use teg_harvest::reconfig::{Dnor, Ehtr, Inor, InorConfig, Reconfigurer, StaticBaseline};
-use teg_harvest::sim::{Comparison, Scenario, SimSession, SimulationEngine};
+use teg_harvest::reconfig::{Dnor, Inor, InorConfig, Reconfigurer, SchemeSpec};
+use teg_harvest::sim::{Comparison, RuntimePolicy, Scenario, SimSession};
 use teg_harvest::units::Seconds;
 
 fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
@@ -17,73 +17,49 @@ fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
 
 #[test]
 fn comparison_matches_four_sequential_engine_runs() {
+    // Under a fixed runtime charge and DNOR's assumed computation time no
+    // wall clock reaches any result, so lockstep and sequential runs must
+    // agree bit for bit, overhead and net energy included.
     let modules = 24;
     let s = scenario(modules, 50, 11);
-
-    let lockstep = Comparison::new(&s)
-        .scheme(Dnor::default())
-        .scheme(Inor::default())
-        .scheme(Ehtr::default())
-        .scheme(StaticBaseline::square_grid(modules))
-        .run()
-        .expect("comparison");
-
-    let engine = SimulationEngine::new(s.clone());
-    let sequential = [
-        engine.run(&mut Dnor::default()).expect("DNOR"),
-        engine.run(&mut Inor::default()).expect("INOR"),
-        engine.run(&mut Ehtr::default()).expect("EHTR"),
-        engine
-            .run(&mut StaticBaseline::square_grid(modules))
-            .expect("baseline"),
+    let policy = RuntimePolicy::Fixed(Seconds::new(0.002));
+    let specs = [
+        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
+        SchemeSpec::inor(),
+        SchemeSpec::ehtr(),
+        SchemeSpec::baseline_square_grid(modules),
     ];
 
-    for report in &sequential {
-        let lock = lockstep
-            .report(report.scheme())
-            .expect("scheme ran in lockstep");
-        // The physics and the decisions are deterministic, so everything
-        // derived from them is identical between the lockstep comparison and
-        // a classic sequential run.
-        assert_eq!(lock.records().len(), report.records().len());
-        assert_eq!(
-            lock.switch_count(),
-            report.switch_count(),
-            "{}",
-            report.scheme()
-        );
-        assert_eq!(
-            lock.gross_energy(),
-            report.gross_energy(),
-            "{}",
-            report.scheme()
-        );
-        assert_eq!(
-            lock.ideal_energy(),
-            report.ideal_energy(),
-            "{}",
-            report.scheme()
-        );
-        assert_eq!(
-            lock.power_trace(),
-            report.power_trace(),
-            "{}",
-            report.scheme()
-        );
-        assert_eq!(
-            lock.switch_times(),
-            report.switch_times(),
-            "{}",
-            report.scheme()
-        );
-        // Net energy differs only by the wall-clock computation time folded
-        // into the overhead model (timing jitter), never by physics.
-        let diff = (lock.net_energy().value() - report.net_energy().value()).abs();
-        assert!(
-            diff < 1.0,
-            "{}: net energy differs by {diff} J",
-            report.scheme()
-        );
+    let lockstep = Comparison::from_specs(&s, &specs)
+        .runtime_policy(policy)
+        .run()
+        .expect("comparison");
+    assert_eq!(lockstep.reports().len(), specs.len());
+
+    for (spec, lock) in specs.iter().zip(lockstep.reports()) {
+        let mut scheme = spec.build();
+        let sequential = SimSession::new(&s, scheme.as_mut())
+            .expect("session")
+            .with_runtime_policy(policy)
+            .run()
+            .expect("run");
+        assert_eq!(lock, &sequential, "{}", sequential.scheme());
+        for (a, b) in lock.records().iter().zip(sequential.records()) {
+            assert_eq!(
+                a.net_power().value().to_bits(),
+                b.net_power().value().to_bits(),
+                "{} net power at t={}",
+                sequential.scheme(),
+                a.time()
+            );
+            assert_eq!(
+                a.overhead_energy().value().to_bits(),
+                b.overhead_energy().value().to_bits(),
+                "{} overhead at t={}",
+                sequential.scheme(),
+                a.time()
+            );
+        }
     }
 }
 
@@ -96,9 +72,10 @@ fn comparison_solves_the_thermal_model_once_per_sample() {
     // Four schemes over a 40-sample cycle: exactly 40 radiator solves, not
     // 160 — the acceptance criterion of the streaming redesign.
     assert_eq!(s.thermal_solve_count(), 40);
-    // Sequential engine runs over the same scenario reuse the cached trace.
-    let engine = SimulationEngine::new(s.clone());
-    engine.run(&mut Inor::default()).expect("INOR");
+    // Sequential session runs over the same scenario reuse the cached trace.
+    SimSession::new(&s, &mut Inor::default())
+        .and_then(SimSession::run)
+        .expect("INOR");
     assert_eq!(s.thermal_solve_count(), 40);
 }
 
@@ -109,15 +86,15 @@ fn long_period_schemes_are_invoked_at_their_period() {
     // a 4-second-period scheme four times too often.
     let s = scenario(10, 40, 5);
     let config = InorConfig::new(*s.charger(), 0.9, Seconds::new(4.0)).expect("config");
-    let report = SimulationEngine::new(s)
-        .run(&mut Inor::new(config))
+    let report = SimSession::new(&s, &mut Inor::new(config))
+        .and_then(SimSession::run)
         .expect("run");
     // One invocation at t = 0 plus one every 4 s: 10 over 40 seconds.
     assert_eq!(report.runtime().invocations(), 10);
     // The sub-second default period still invokes twice per second.
     let s = scenario(10, 40, 5);
-    let report = SimulationEngine::new(s)
-        .run(&mut Inor::default())
+    let report = SimSession::new(&s, &mut Inor::default())
+        .and_then(SimSession::run)
         .expect("run");
     assert_eq!(report.runtime().invocations(), 80);
 }
@@ -134,8 +111,8 @@ fn session_streaming_matches_engine_report() {
     let summary = session.summary();
     drop(session);
 
-    let report = SimulationEngine::new(s)
-        .run(&mut Dnor::default())
+    let report = SimSession::new(&s, &mut Dnor::default())
+        .and_then(SimSession::run)
         .expect("run");
     assert_eq!(streamed.len(), report.records().len());
     assert_eq!(summary.switch_count(), report.switch_count());
