@@ -66,5 +66,5 @@ pub use error::ArrayError;
 pub use fault::{FaultState, ModuleFault, SwitchStuck};
 pub use ideal::ideal_power;
 pub use overhead::{OverheadBreakdown, SwitchingOverheadModel};
-pub use solver::{ArrayPlan, ArraySolver, GroupSumMemo, SolvedPoint};
+pub use solver::{mpp_power_from_group_sums, ArrayPlan, ArraySolver, GroupSumMemo, SolvedPoint};
 pub use switches::{PairLink, SwitchBank};

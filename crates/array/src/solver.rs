@@ -694,23 +694,9 @@ impl ArraySolver {
     /// Derives the optimum string current from the accumulated group sums
     /// and solves the operating point there.
     fn mpp_from_groups(&mut self, n: usize) -> SolvedPoint {
-        let mut sum_voc = 0.0; // Σ_g S_g / G_g  (total open-circuit voltage)
-        let mut sum_res = 0.0; // Σ_g 1 / G_g    (total series resistance)
-        for j in 0..n {
-            if self.group_shorted[j] {
-                continue; // zero volts, zero resistance — drops out of the MPP sums
-            }
-            sum_voc += self.group_s[j] / self.group_g[j];
-            sum_res += 1.0 / self.group_g[j];
-        }
-        // `sum_res == 0` means every group is shorted: the array is a dead
-        // short and delivers no power at any current.
-        let optimum = if sum_res > 0.0 {
-            (sum_voc / (2.0 * sum_res)).max(0.0)
-        } else {
-            0.0
-        };
-        self.operate_from_groups(n, Amps::new(optimum))
+        let shorted = &self.group_shorted;
+        let current = optimum_current(&self.group_s[..n], &self.group_g[..n], |j| shorted[j]);
+        self.operate_from_groups(n, current)
     }
 
     /// Solves the operating point at an imposed current from the
@@ -719,11 +705,12 @@ impl ArraySolver {
         self.groups.clear();
         let mut total_voltage = Volts::ZERO;
         for j in 0..n {
-            let voltage = if self.group_shorted[j] {
-                Volts::ZERO
-            } else {
-                Volts::new((self.group_s[j] - current.value()) / self.group_g[j])
-            };
+            let voltage = group_voltage(
+                self.group_s[j],
+                self.group_g[j],
+                self.group_shorted[j],
+                current,
+            );
             let power = voltage * current;
             total_voltage += voltage;
             self.groups.push(GroupOperatingPoint::new(voltage, power));
@@ -745,6 +732,66 @@ impl ArraySolver {
             voltage: Volts::ZERO,
             power: Watts::ZERO,
         }
+    }
+}
+
+/// Total MPP power of a fault-free series string, from each group's Norton
+/// sums `S_g = Σ G·E` and `G_g = Σ G` (every `G_g > 0`).
+///
+/// This is the closed form every [`ArraySolver`] MPP solve ends in, so a
+/// caller that accumulates the sums itself — in module order, from
+/// `G = 1 / R_teg` and `G·E` — gets exactly the bits
+/// [`ArraySolver::mpp_power`] returns for that partition without loading
+/// per-module terms or building a [`Configuration`].
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+#[must_use]
+pub fn mpp_power_from_group_sums(group_s: &[f64], group_g: &[f64]) -> Watts {
+    assert_eq!(
+        group_s.len(),
+        group_g.len(),
+        "one S_g and one G_g per group"
+    );
+    let current = optimum_current(group_s, group_g, |_| false);
+    let voltage = group_s
+        .iter()
+        .zip(group_g)
+        .fold(Volts::ZERO, |total, (&s_g, &g_g)| {
+            total + group_voltage(s_g, g_g, false, current)
+        });
+    voltage * current
+}
+
+/// The MPP string current `Σ(S_g/G_g) / (2·Σ 1/G_g)`, clamped at zero.
+/// Shorted groups (zero volts, zero resistance) drop out of both sums; a
+/// string whose groups are all shorted is a dead short and gets zero.
+fn optimum_current(group_s: &[f64], group_g: &[f64], shorted: impl Fn(usize) -> bool) -> Amps {
+    let mut sum_voc = 0.0; // Σ_g S_g / G_g  (total open-circuit voltage)
+    let mut sum_res = 0.0; // Σ_g 1 / G_g    (total series resistance)
+    for (j, (&s_g, &g_g)) in group_s.iter().zip(group_g).enumerate() {
+        if shorted(j) {
+            continue;
+        }
+        sum_voc += s_g / g_g;
+        sum_res += 1.0 / g_g;
+    }
+    let optimum = if sum_res > 0.0 {
+        (sum_voc / (2.0 * sum_res)).max(0.0)
+    } else {
+        0.0
+    };
+    Amps::new(optimum)
+}
+
+/// One group's terminal voltage `(S_g − I) / G_g` at string current `I`
+/// (zero when shorted).
+fn group_voltage(s_g: f64, g_g: f64, shorted: bool, current: Amps) -> Volts {
+    if shorted {
+        Volts::ZERO
+    } else {
+        Volts::new((s_g - current.value()) / g_g)
     }
 }
 
@@ -987,6 +1034,36 @@ mod tests {
                 let legacy = array.mpp_power_faulted(candidate, &deltas, &faults).unwrap();
                 prop_assert_eq!(power.value().to_bits(), legacy.value().to_bits());
             }
+        }
+
+        /// The public closed form over caller-accumulated group sums is the
+        /// solver's own healthy MPP power, bit for bit.
+        #[test]
+        fn prop_group_sum_power_matches_the_solver(
+            n in 1usize..40,
+            base in 0.0_f64..80.0,
+            span in -30.0_f64..50.0,
+            partition_seed in 0u64..u64::MAX,
+        ) {
+            let array = TegArray::uniform(module(), n);
+            let deltas = gradient_deltas(n, base, span);
+            let config = partition_from_mask(n, partition_seed);
+            let mut solver = ArraySolver::new();
+            solver.load(&array, &deltas, None).unwrap();
+            let expected = solver.mpp_power(&config).unwrap();
+            let (mut group_s, mut group_g) = (Vec::new(), Vec::new());
+            for group in config.groups() {
+                let (mut s_g, mut g_g) = (0.0, 0.0);
+                for i in group.indices() {
+                    let g = array.modules()[i].internal_conductance(deltas[i]);
+                    s_g += g * array.modules()[i].open_circuit_voltage(deltas[i]).value();
+                    g_g += g;
+                }
+                group_s.push(s_g);
+                group_g.push(g_g);
+            }
+            let power = mpp_power_from_group_sums(&group_s, &group_g);
+            prop_assert_eq!(power.value().to_bits(), expected.value().to_bits());
         }
 
         /// A compiled plan solved per ΔT vector matches the legacy

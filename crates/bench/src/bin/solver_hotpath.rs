@@ -1,12 +1,17 @@
 //! Solver hot-path microbenchmark — the candidate scan that dominates every
 //! reconfiguration decision, measured on the legacy per-call path
 //! (`TegArray::mpp_power` per candidate) against the compiled batch path
-//! (`ArraySolver::load` + `evaluate_candidates`).
+//! (`ArraySolver::load` + `evaluate_candidates`).  For INOR it also times
+//! the fused scan, `Inor::optimise_with`, which partitions and evaluates
+//! every candidate in one pass; its `fused_ns` covers the whole decision
+//! (bounds, partitions and scoring), where the other two columns time only
+//! the scoring of ready-made candidates.
 //!
 //! Emits a machine-readable `BENCH_solver.json` next to the working
 //! directory (and a human-readable table on stdout) so CI can archive the
-//! perf trajectory of the electrical kernel across commits.  The two paths
-//! are asserted to agree **bitwise** before any timing happens, so the
+//! perf trajectory of the electrical kernel across commits.  The paths are
+//! asserted to agree **bitwise** before any timing happens — the fused scan
+//! must return the batch path's best configuration and power — so the
 //! binary doubles as a release-mode equivalence smoke check.
 
 use std::fmt::Write as _;
@@ -26,6 +31,8 @@ struct Case {
     candidates: usize,
     legacy_ns: f64,
     compiled_ns: f64,
+    /// INOR only: one whole `Inor::optimise_with`.
+    fused_ns: Option<f64>,
 }
 
 impl Case {
@@ -93,6 +100,28 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
         );
     }
 
+    // The fused INOR scan must pick the batch path's winner: the earliest
+    // maximum, with the same power bits.
+    let mut inor = Inor::default();
+    if scheme == "INOR" {
+        let mut best = 0;
+        for (i, power) in powers.iter().enumerate() {
+            if *power > powers[best] {
+                best = i;
+            }
+        }
+        let (configuration, power) = inor.optimise_with(&array, &deltas).expect("fused scan");
+        assert_eq!(
+            power.value().to_bits(),
+            powers[best].value().to_bits(),
+            "fused scan diverged from the batch path's best power on n={modules}"
+        );
+        assert_eq!(
+            configuration, candidates[best],
+            "fused scan picked another configuration than the batch path on n={modules}"
+        );
+    }
+
     let legacy_ns = time_scan_ns(|| {
         let mut acc = 0.0;
         for candidate in &candidates {
@@ -110,6 +139,14 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
             .expect("batch evaluation");
         black_box(&powers);
     });
+    let fused_ns = (scheme == "INOR").then(|| {
+        time_scan_ns(|| {
+            black_box(
+                inor.optimise_with(&array, black_box(&deltas))
+                    .expect("fused scan"),
+            );
+        })
+    });
 
     Case {
         scheme,
@@ -117,6 +154,7 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
         candidates: candidates.len(),
         legacy_ns,
         compiled_ns,
+        fused_ns,
     }
 }
 
@@ -135,10 +173,14 @@ fn render_json(cases: &[Case]) -> String {
     out.push_str("  \"unit\": \"ns_per_candidate_scan\",\n  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
+        let fused = case
+            .fused_ns
+            .map_or_else(|| "null".to_owned(), |ns| format!("{ns:.1}"));
         let _ = writeln!(
             out,
             "    {{\"scheme\": \"{}\", \"modules\": {}, \"candidates\": {}, \
-             \"legacy_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}}}{comma}",
+             \"legacy_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}, \
+             \"fused_ns\": {fused}}}{comma}",
             case.scheme,
             case.modules,
             case.candidates,
@@ -165,16 +207,18 @@ fn main() -> ExitCode {
     }
 
     println!("# Candidate-scan hot path: compiled batch kernel vs legacy per-call solves");
-    println!("scheme,modules,candidates,legacy_ns,compiled_ns,speedup");
+    println!("scheme,modules,candidates,legacy_ns,compiled_ns,speedup,fused_ns");
     for case in &cases {
         println!(
-            "{},{},{},{:.1},{:.1},{:.2}",
+            "{},{},{},{:.1},{:.1},{:.2},{}",
             case.scheme,
             case.modules,
             case.candidates,
             case.legacy_ns,
             case.compiled_ns,
-            case.speedup()
+            case.speedup(),
+            case.fused_ns
+                .map_or_else(String::new, |ns| format!("{ns:.1}")),
         );
     }
     let min = cases

@@ -201,13 +201,33 @@ impl Default for DnorConfig {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Dnor {
     config: DnorConfig,
     inner: Inor,
     periods_until_evaluation: usize,
     evaluations: usize,
     switches: usize,
+    // Evaluation scratch, reused across evaluations: the solver that
+    // integrates the predicted energies, the forecast rows, one module's
+    // rolling forecast window, and the current and predicted ΔT rows.
+    solver: ArraySolver,
+    forecast: Vec<Vec<f64>>,
+    rolling: Vec<f64>,
+    current_deltas: Vec<TemperatureDelta>,
+    row_deltas: Vec<TemperatureDelta>,
+}
+
+/// The evaluation scratch caches derived state only, so it stays out of
+/// scheme identity.
+impl PartialEq for Dnor {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.inner == other.inner
+            && self.periods_until_evaluation == other.periods_until_evaluation
+            && self.evaluations == other.evaluations
+            && self.switches == other.switches
+    }
 }
 
 impl Dnor {
@@ -221,6 +241,11 @@ impl Dnor {
             periods_until_evaluation: 0,
             evaluations: 0,
             switches: 0,
+            solver: ArraySolver::new(),
+            forecast: Vec::new(),
+            rolling: Vec::new(),
+            current_deltas: Vec::new(),
+            row_deltas: Vec::new(),
         }
     }
 
@@ -259,13 +284,19 @@ impl Dnor {
     /// buffer — its trailing window followed by the predictions so far.
     /// Each step calls `predict_next` on exactly the window
     /// `Predictor::forecast` would pass it, so the rows are bit-identical to
-    /// forecasting every module's full series.
-    fn predict_rows(&self, window: &TelemetryWindow<'_>) -> Vec<Vec<f64>> {
+    /// forecasting every module's full series.  The rows are written into
+    /// the scheme's reused forecast buffer.
+    fn predict_rows(&mut self, window: &TelemetryWindow<'_>) -> &[Vec<f64>] {
         let horizon = self.config.prediction_horizon;
         let ar_window = self.config.prediction_window;
         let history_len = window.history_len();
         let latest = window.current_temperatures();
-        let mut rows = vec![latest.to_vec(); horizon];
+        let rows = &mut self.forecast;
+        rows.resize_with(horizon, Vec::new);
+        for row in rows.iter_mut() {
+            row.clear();
+            row.extend_from_slice(latest);
+        }
 
         let shared_model = if history_len >= ar_window + 2 {
             let mut mlr =
@@ -281,7 +312,9 @@ impl Dnor {
         let tail: Vec<&[f64]> = (history_len - ar_window..history_len)
             .map(|index| window.row(index))
             .collect();
-        let mut rolling = vec![0.0; ar_window + horizon];
+        let rolling = &mut self.rolling;
+        rolling.clear();
+        rolling.resize(ar_window + horizon, 0.0);
         for module in 0..latest.len() {
             for (slot, row) in rolling.iter_mut().zip(&tail) {
                 *slot = row[module];
@@ -302,39 +335,36 @@ impl Dnor {
     }
 
     /// Integrates the predicted array MPP energy of the incumbent and the
-    /// candidate configuration over the current second plus the `t_p`
-    /// predicted seconds, sharing one batch solve per ΔT row.
+    /// candidate configuration over the current second (`current_deltas`)
+    /// plus the `t_p` predicted seconds (the forecast rows), sharing one
+    /// batch solve per ΔT row.
     ///
     /// Also returns the incumbent's instantaneous MPP power (the first term
     /// of its energy integral), which the switching-overhead gate needs —
     /// the kernel is deterministic, so reusing the solve is exact.
     fn predicted_energies(
-        &self,
-        solver: &mut ArraySolver,
+        &mut self,
         window: &TelemetryWindow<'_>,
         incumbent: &Configuration,
         candidate: &Configuration,
-        current_deltas: &[TemperatureDelta],
-        predicted_rows: &[Vec<f64>],
     ) -> Result<(Joules, Joules, Watts), ReconfigError> {
         let step = self.config.period;
         let array = window.array();
+        let solver = &mut self.solver;
         // The per-module EMF/conductance terms are derived once per ΔT row
         // and amortised over both configurations; each configuration's
         // energy still accumulates in row order, so the sums are
         // bit-identical to integrating the two configurations separately.
-        // The first load repeats what `optimise_with` left in the solver at
-        // the call site — kept so this function never depends on what a
-        // caller loaded before it.
-        solver.load(array, current_deltas, None)?;
+        // INOR's scan does not use this solver, so the current row is
+        // loaded here before the predicted rows.
+        solver.load(array, &self.current_deltas, None)?;
         let current_power = solver.mpp_power(incumbent)?;
         let mut energy_old = current_power * step;
         let mut energy_new = solver.mpp_power(candidate)? * step;
-        let mut deltas = Vec::with_capacity(current_deltas.len());
-        for row in predicted_rows {
-            deltas.clear();
-            TelemetryWindow::deltas_from_row_into(row, window.ambient(), &mut deltas);
-            solver.load(array, &deltas, None)?;
+        for row in &self.forecast {
+            self.row_deltas.clear();
+            TelemetryWindow::deltas_from_row_into(row, window.ambient(), &mut self.row_deltas);
+            solver.load(array, &self.row_deltas, None)?;
             energy_old += solver.mpp_power(incumbent)? * step;
             energy_new += solver.mpp_power(candidate)? * step;
         }
@@ -382,21 +412,18 @@ impl Reconfigurer for Dnor {
         }
 
         self.evaluations += 1;
-        let mut solver = ArraySolver::new();
-        let current_deltas = window.current_deltas();
-        let (candidate, _) =
-            self.inner
-                .optimise_with(&mut solver, window.array(), &current_deltas)?;
-        let predicted_rows = self.predict_rows(window);
-
-        let (energy_old, energy_new, current_power) = self.predicted_energies(
-            &mut solver,
-            window,
-            current,
-            &candidate,
-            &current_deltas,
-            &predicted_rows,
-        )?;
+        self.current_deltas.clear();
+        TelemetryWindow::deltas_from_row_into(
+            window.current_temperatures(),
+            window.ambient(),
+            &mut self.current_deltas,
+        );
+        let (candidate, _) = self
+            .inner
+            .optimise_with(window.array(), &self.current_deltas)?;
+        self.predict_rows(window);
+        let (energy_old, energy_new, current_power) =
+            self.predicted_energies(window, current, &candidate)?;
 
         let toggles = current.switch_toggles_to(&candidate)?;
         let computation_so_far = elapsed_or_assumed(&started);
@@ -504,7 +531,7 @@ mod tests {
         let long_horizon =
             DnorConfig::new(InorConfig::default(), 7, 3, overhead, Seconds::new(1.0)).unwrap();
         for config in [DnorConfig::default(), long_horizon] {
-            let dnor = Dnor::new(config.clone());
+            let mut dnor = Dnor::new(config.clone());
             let ar_window = config.prediction_window();
             for modules in [1, 7, 400] {
                 let a = array(modules);
@@ -514,7 +541,7 @@ mod tests {
                     let history = textured_history(modules, steps);
                     let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
                     assert_eq!(
-                        bits(&dnor.predict_rows(&inputs)),
+                        bits(dnor.predict_rows(&inputs)),
                         bits(&oracle_rows(&dnor, &inputs)),
                         "{modules} modules, {steps} rows"
                     );
@@ -526,7 +553,7 @@ mod tests {
                 }
                 let inputs = buffer.window(&a, Celsius::new(25.0)).unwrap();
                 assert_eq!(
-                    bits(&dnor.predict_rows(&inputs)),
+                    bits(dnor.predict_rows(&inputs)),
                     bits(&oracle_rows(&dnor, &inputs)),
                     "{modules} modules, wrapped ring"
                 );

@@ -50,7 +50,7 @@ pub struct Ehtr {
     config: InorConfig,
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step, and the DP is ~95 % of a decide.
-    memo: Option<DecisionMemo>,
+    memo: DecisionMemo,
 }
 
 /// The memo caches derived state only, so it stays out of scheme identity.
@@ -65,7 +65,10 @@ impl Ehtr {
     /// efficiency floor, period) so comparisons are apples-to-apples.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self { config, memo: None }
+        Self {
+            config,
+            memo: DecisionMemo::default(),
+        }
     }
 
     /// The tuning parameters in use.
@@ -284,11 +287,11 @@ impl Reconfigurer for Ehtr {
     ) -> Result<ReconfigDecision, ReconfigError> {
         let started = Instant::now();
         let deltas = window.current_deltas();
-        let configuration = match self.memo.as_ref().and_then(|m| m.lookup(&deltas)) {
+        let configuration = match self.memo.lookup(&deltas) {
             Some(cached) => cached.clone(),
             None => {
                 let (configuration, _) = self.optimise(window.array(), &deltas)?;
-                self.memo = Some(DecisionMemo::new(deltas, configuration.clone()));
+                self.memo.record(&deltas, configuration.clone());
                 configuration
             }
         };
@@ -298,7 +301,7 @@ impl Reconfigurer for Ehtr {
     }
 
     fn reset(&mut self) {
-        self.memo = None;
+        self.memo.clear();
     }
 }
 

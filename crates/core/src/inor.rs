@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use teg_array::{ArraySolver, Configuration, TegArray};
+use teg_array::{mpp_power_from_group_sums, ArrayError, ArraySolver, Configuration, TegArray};
 use teg_power::Charger;
 use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
@@ -73,6 +73,23 @@ impl InorConfig {
     pub const fn period(&self) -> Seconds {
         self.period
     }
+
+    /// The feasible group-count window for `modules` modules whose MPP
+    /// voltages sum to `vmpp_sum` (see [`Inor::group_bounds`]).
+    fn group_window(&self, vmpp_sum: f64, modules: usize) -> (usize, usize) {
+        let mean_vmpp = vmpp_sum / modules as f64;
+        if mean_vmpp <= 1e-9 {
+            // No usable temperature difference anywhere: any wiring is as
+            // good as any other.
+            return (1, 1);
+        }
+        let Some((lo, hi)) = self.charger.voltage_window(self.min_converter_efficiency) else {
+            return (1, modules);
+        };
+        let n_min = ((lo.value() / mean_vmpp).ceil() as usize).clamp(1, modules);
+        let n_max = ((hi.value() / mean_vmpp).floor() as usize).clamp(n_min, modules);
+        (n_min, n_max)
+    }
 }
 
 impl Default for InorConfig {
@@ -94,6 +111,14 @@ impl Default for InorConfig {
 /// greedily so that each group's summed MPP current is as close as possible
 /// to the ideal share `Σ I_MPP / n`; the candidate with the highest array MPP
 /// power wins.
+///
+/// The scan is one fused pass: each module's EMF and resistance are derived
+/// once, and the greedy partition accumulates every group's Norton sums as
+/// it takes modules, so a candidate is evaluated without a second walk over
+/// the modules and without building its [`Configuration`].  Only the winner
+/// becomes a `Configuration`.  The result is bit-identical to partitioning
+/// with [`Inor::balanced_partition`] and scoring each candidate through
+/// [`ArraySolver::evaluate_candidates`].
 ///
 /// # Examples
 ///
@@ -120,10 +145,14 @@ pub struct Inor {
     config: InorConfig,
     // Last (ΔT row → partition) pair: a 0.5 s period over 1 s steps asks the
     // same question twice per step.
-    memo: Option<DecisionMemo>,
+    memo: DecisionMemo,
+    // The window's current ΔT row, refilled on every decide.
+    deltas: Vec<TemperatureDelta>,
+    scan: CandidateScan,
 }
 
-/// The memo caches derived state only, so it stays out of scheme identity.
+/// The memo and the scan buffers cache derived state only, so they stay out
+/// of scheme identity.
 impl PartialEq for Inor {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config
@@ -134,7 +163,10 @@ impl Inor {
     /// Creates INOR with explicit tuning parameters.
     #[must_use]
     pub fn new(config: InorConfig) -> Self {
-        Self { config, memo: None }
+        Self {
+            config,
+            ..Self::default()
+        }
     }
 
     /// The tuning parameters in use.
@@ -148,29 +180,13 @@ impl Inor {
     /// voltages.
     #[must_use]
     pub fn group_bounds(&self, array: &TegArray, deltas: &[TemperatureDelta]) -> (usize, usize) {
-        let n = array.len();
-        let mean_vmpp = array
+        let vmpp_sum = array
             .modules()
             .iter()
             .zip(deltas.iter())
             .map(|(m, &dt)| m.mpp(dt).voltage().value())
-            .sum::<f64>()
-            / n as f64;
-        if mean_vmpp <= 1e-9 {
-            // No usable temperature difference anywhere: any wiring is as
-            // good as any other.
-            return (1, 1);
-        }
-        let Some((lo, hi)) = self
-            .config
-            .charger
-            .voltage_window(self.config.min_converter_efficiency)
-        else {
-            return (1, n);
-        };
-        let n_min = ((lo.value() / mean_vmpp).ceil() as usize).clamp(1, n);
-        let n_max = ((hi.value() / mean_vmpp).floor() as usize).clamp(n_min, n);
-        (n_min, n_max)
+            .sum::<f64>();
+        self.config.group_window(vmpp_sum, array.len())
     }
 
     /// Greedily partitions the chain into `n` groups whose summed MPP
@@ -229,36 +245,159 @@ impl Inor {
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        self.optimise_with(&mut ArraySolver::new(), array, deltas)
+        CandidateScan::default().optimise(&self.config, array, deltas)
     }
 
-    /// [`Inor::optimise`] evaluating its candidates through a caller-owned
-    /// solver, so a looping controller reuses the scratch buffers across
-    /// invocations instead of reallocating them.
+    /// [`Inor::optimise`] through the scan buffers this instance owns, so a
+    /// looping controller allocates only the returned [`Configuration`]
+    /// once the buffers have grown to the array size.
     ///
     /// # Errors
     ///
     /// Propagates [`ReconfigError::Array`] if the ΔT vector does not match
     /// the array.
     pub fn optimise_with(
-        &self,
-        solver: &mut ArraySolver,
+        &mut self,
         array: &TegArray,
         deltas: &[TemperatureDelta],
     ) -> Result<(Configuration, Watts), ReconfigError> {
-        let mpp_currents = array.mpp_currents(deltas)?;
-        let (n_min, n_max) = self.group_bounds(array, deltas);
-        let candidates: Vec<Configuration> = (n_min..=n_max)
-            .map(|n| Self::balanced_partition(&mpp_currents, n))
-            .collect();
-        pick_best_candidate(solver, array, deltas, candidates)
+        self.scan.optimise(&self.config, array, deltas)
     }
 }
 
-/// The shared candidate scan of INOR and EHTR: load the per-module EMF and
-/// conductance terms once, evaluate every candidate through the batch
-/// kernel, and keep the earliest maximum (the same tie-break the original
-/// per-candidate loop used).
+/// One module's terms for the fused scan, derived from a single EMF and
+/// internal-resistance evaluation.
+#[derive(Debug, Clone, Copy)]
+struct ModuleTerms {
+    /// `I_mpp = E / (2·R)`, the quantity the greedy balances.
+    mpp_current: f64,
+    /// `G = 1 / R`.
+    g: f64,
+    /// `G·E`.
+    ge: f64,
+}
+
+/// The reusable buffers of INOR's fused candidate scan.
+#[derive(Debug, Clone, Default)]
+struct CandidateScan {
+    terms: Vec<ModuleTerms>,
+    // Norton sums of the candidate being evaluated, one entry per group.
+    group_s: Vec<f64>,
+    group_g: Vec<f64>,
+    // Group starts of the candidate being evaluated and of the best so far.
+    starts: Vec<usize>,
+    best_starts: Vec<usize>,
+}
+
+impl CandidateScan {
+    /// Algorithm 1 in one pass over the modules plus one greedy walk per
+    /// feasible group count.
+    ///
+    /// Every value is computed with the expressions of the unfused path —
+    /// `TegArray::mpp_currents`, [`Inor::group_bounds`], `ArraySolver::load`
+    /// and `ArraySolver::sum_range` — in the same order, so the winner and
+    /// its power are the same bits.  The scan never sees faults, so every
+    /// group is healthy.
+    fn optimise(
+        &mut self,
+        config: &InorConfig,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+    ) -> Result<(Configuration, Watts), ReconfigError> {
+        let modules = array.len();
+        if deltas.len() != modules {
+            return Err(ArrayError::DimensionMismatch {
+                modules,
+                temperatures: deltas.len(),
+            }
+            .into());
+        }
+        self.terms.clear();
+        // `-0.0` is the value `f64: Sum` starts from, so the two totals are
+        // the `.sum()`s of the unfused path, sign of zero included.
+        let mut vmpp_sum = -0.0;
+        let mut total_current = -0.0;
+        for (module, &dt) in array.modules().iter().zip(deltas) {
+            let e = module.open_circuit_voltage(dt);
+            let r = module.internal_resistance(dt);
+            let g = 1.0 / r.value();
+            let mpp_current = e.value() / (2.0 * r.value());
+            vmpp_sum += (e / 2.0).value();
+            total_current += mpp_current;
+            self.terms.push(ModuleTerms {
+                mpp_current,
+                g,
+                ge: g * e.value(),
+            });
+        }
+
+        let (n_min, n_max) = config.group_window(vmpp_sum, modules);
+        // The earliest maximum wins, as in `pick_best_candidate`.
+        let mut best: Option<Watts> = None;
+        for n in n_min..=n_max {
+            let power = self.partition_power(n, total_current);
+            if best.is_none_or(|best| power > best) {
+                best = Some(power);
+                std::mem::swap(&mut self.starts, &mut self.best_starts);
+            }
+        }
+        let power = best.expect("window always contains at least one group count");
+        let configuration = Configuration::new(self.best_starts.clone(), modules)
+            .expect("greedy partition is always valid");
+        Ok((configuration, power))
+    }
+
+    /// Partitions the loaded modules into `n` groups exactly as
+    /// [`Inor::balanced_partition`] does, summing each group's Norton terms
+    /// as it takes modules, and returns the partition's MPP power.  The
+    /// partition's group starts are left in `self.starts`.
+    fn partition_power(&mut self, n: usize, total_current: f64) -> Watts {
+        let modules = self.terms.len();
+        let ideal = total_current / n as f64;
+        self.starts.clear();
+        self.group_s.clear();
+        self.group_g.clear();
+        let mut broken = false;
+        let mut index = 0;
+        for group in 0..n {
+            self.starts.push(index);
+            let start = index;
+            let last = group + 1 == n;
+            // Leave at least one module for each remaining group.
+            let max_end = modules - (n - 1 - group);
+            let (mut sum, mut s_g, mut g_g) = (0.0, 0.0, 0.0);
+            while index < max_end {
+                let term = self.terms[index];
+                let candidate = sum + term.mpp_current;
+                // The last group takes every remaining module.  The others
+                // take at least one, then keep taking while it brings the
+                // group sum closer to the ideal share.
+                if last || index == start || (candidate - ideal).abs() <= (sum - ideal).abs() {
+                    sum = candidate;
+                    s_g += term.ge;
+                    g_g += term.g;
+                    index += 1;
+                } else {
+                    break;
+                }
+            }
+            // A group with no conductance breaks the string.
+            broken |= g_g <= 0.0;
+            self.group_s.push(s_g);
+            self.group_g.push(g_g);
+        }
+        if broken {
+            Watts::ZERO
+        } else {
+            mpp_power_from_group_sums(&self.group_s, &self.group_g)
+        }
+    }
+}
+
+/// The shared candidate scan of EHTR and the oracle of INOR's fused scan:
+/// load the per-module EMF and conductance terms once, evaluate every
+/// candidate through the batch kernel, and keep the earliest maximum (the
+/// same tie-break the original per-candidate loop used).
 pub(crate) fn pick_best_candidate(
     solver: &mut ArraySolver,
     array: &TegArray,
@@ -297,12 +436,19 @@ impl Reconfigurer for Inor {
         _current: &Configuration,
     ) -> Result<ReconfigDecision, ReconfigError> {
         let started = Instant::now();
-        let deltas = window.current_deltas();
-        let configuration = match self.memo.as_ref().and_then(|m| m.lookup(&deltas)) {
+        self.deltas.clear();
+        TelemetryWindow::deltas_from_row_into(
+            window.current_temperatures(),
+            window.ambient(),
+            &mut self.deltas,
+        );
+        let configuration = match self.memo.lookup(&self.deltas) {
             Some(cached) => cached.clone(),
             None => {
-                let (configuration, _) = self.optimise(window.array(), &deltas)?;
-                self.memo = Some(DecisionMemo::new(deltas, configuration.clone()));
+                let (configuration, _) =
+                    self.scan
+                        .optimise(&self.config, window.array(), &self.deltas)?;
+                self.memo.record(&self.deltas, configuration.clone());
                 configuration
             }
         };
@@ -313,7 +459,7 @@ impl Reconfigurer for Inor {
     }
 
     fn reset(&mut self) {
-        self.memo = None;
+        self.memo.clear();
     }
 }
 
@@ -322,8 +468,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use teg_array::ideal_power;
-    use teg_device::{TegDatasheet, TegModule};
-    use teg_units::Celsius;
+    use teg_device::{TegDatasheet, TegModule, VariationModel};
+    use teg_units::{Celsius, Volts};
 
     fn array(n: usize) -> TegArray {
         TegArray::uniform(
@@ -454,6 +600,88 @@ mod tests {
         assert_eq!(adopted.module_count(), 40);
     }
 
+    /// The unfused scan `optimise_with` replaced: partition every feasible
+    /// group count with `balanced_partition`, then score the candidates
+    /// through the batch kernel.  Kept as the fused scan's oracle.
+    fn oracle_optimise(
+        inor: &Inor,
+        array: &TegArray,
+        deltas: &[TemperatureDelta],
+    ) -> (Configuration, Watts) {
+        let currents = array.mpp_currents(deltas).unwrap();
+        let (n_min, n_max) = inor.group_bounds(array, deltas);
+        let candidates = (n_min..=n_max)
+            .map(|n| Inor::balanced_partition(&currents, n))
+            .collect();
+        pick_best_candidate(&mut ArraySolver::new(), array, deltas, candidates).unwrap()
+    }
+
+    fn assert_fused_matches_oracle(inor: &mut Inor, array: &TegArray, deltas: &[TemperatureDelta]) {
+        let (expected, expected_power) = oracle_optimise(inor, array, deltas);
+        let (fused, fused_power) = inor.optimise_with(array, deltas).unwrap();
+        let bounds = inor.group_bounds(array, deltas);
+        assert_eq!(
+            fused,
+            expected,
+            "{} modules, bounds {bounds:?}",
+            array.len()
+        );
+        assert_eq!(
+            fused_power.value().to_bits(),
+            expected_power.value().to_bits(),
+            "{} modules, bounds {bounds:?}",
+            array.len()
+        );
+    }
+
+    /// A charger whose efficiency never reaches INOR's 90 % floor, so it has
+    /// no voltage window and every group count `1..=N` is a candidate.
+    fn windowless_inor() -> Inor {
+        let charger = Charger::new(Volts::new(13.8), 0.85, 0.1, 0.5, Volts::new(2.5)).unwrap();
+        Inor::new(InorConfig::new(charger, 0.9, Seconds::new(0.5)).unwrap())
+    }
+
+    /// A charger with flat efficiency: the window is open above the minimum
+    /// input voltage, so the group counts run from `n_min` to `N`.
+    fn flat_charger_inor() -> Inor {
+        let charger = Charger::new(Volts::new(13.8), 0.95, 0.0, 0.5, Volts::new(2.5)).unwrap();
+        Inor::new(InorConfig::new(charger, 0.9, Seconds::new(0.5)).unwrap())
+    }
+
+    fn varied_array(modules: usize, seed: u64) -> TegArray {
+        let nominal = TegModule::from_datasheet(&TegDatasheet::tgm_199_1_4_0_8());
+        let spread = VariationModel::new(0.05, 0.08).unwrap();
+        TegArray::new(spread.apply(&nominal, modules, seed).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn fused_scan_matches_the_oracle_at_every_size() {
+        let mut inor = Inor::default();
+        let mut windowless = windowless_inor();
+        for modules in 1..=400 {
+            let a = varied_array(modules, modules as u64);
+            let zero = vec![TemperatureDelta::ZERO; modules];
+            assert_eq!(inor.group_bounds(&a, &zero), (1, 1));
+            assert_fused_matches_oracle(&mut inor, &a, &zero);
+            let deltas = radiator_like_deltas(modules);
+            assert_fused_matches_oracle(&mut inor, &a, &deltas);
+            if modules % 23 == 1 {
+                assert_eq!(windowless.group_bounds(&a, &deltas), (1, modules));
+                assert_fused_matches_oracle(&mut windowless, &a, &deltas);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_scan_reports_a_dimension_mismatch_like_the_oracle() {
+        let a = array(8);
+        let short = radiator_like_deltas(7);
+        let mut inor = Inor::default();
+        let fused = inor.optimise_with(&a, &short).unwrap_err();
+        let unfused = ReconfigError::from(a.mpp_currents(&short).unwrap_err());
+        assert_eq!(fused, unfused);
+    }
+
     #[test]
     #[should_panic(expected = "out of range")]
     fn zero_groups_is_rejected() {
@@ -482,6 +710,44 @@ mod tests {
             let power = a.mpp_power(&config, &deltas).unwrap();
             let ideal = ideal_power(a.modules(), &deltas).unwrap();
             prop_assert!(power.value() <= ideal.value() + 1e-6);
+        }
+
+        /// The fused scan returns the oracle's configuration and the same
+        /// power bits, across sizes, module spread, charger windows and
+        /// ΔT rows with dead (zero) modules or no usable ΔT at all.  One
+        /// scheme per charger scans every row and size in turn, so its
+        /// buffers are reused across shrinking and growing arrays.
+        #[test]
+        fn prop_fused_scan_matches_the_oracle(
+            modules in 1usize..401,
+            seed in 0u64..u64::MAX,
+            hot in 0.0_f64..110.0,
+            decay in 0.0_f64..3.0,
+            ripple in 0.0_f64..20.0,
+            dead_mask in 0u64..u64::MAX,
+        ) {
+            let mut schemes = [Inor::default(), windowless_inor(), flat_charger_inor()];
+            for size in [modules, modules / 3 + 1] {
+                let a = varied_array(size, seed);
+                let gradient: Vec<_> = (0..size)
+                    .map(|i| {
+                        let x = i as f64 / size as f64;
+                        // The ripple can push the tail below zero ΔT.
+                        TemperatureDelta::new(hot * (-decay * x).exp() - ripple * (7.0 * x).sin())
+                    })
+                    .collect();
+                let with_dead: Vec<_> = gradient
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &dt)| if (dead_mask >> (i % 64)) & 1 == 1 { TemperatureDelta::ZERO } else { dt })
+                    .collect();
+                let zero = vec![TemperatureDelta::ZERO; size];
+                for inor in &mut schemes {
+                    for deltas in [&gradient, &with_dead, &zero] {
+                        assert_fused_matches_oracle(inor, &a, deltas);
+                    }
+                }
+            }
         }
 
         /// INOR's chosen configuration is never worse than every uniform

@@ -19,24 +19,34 @@ use teg_array::Configuration;
 use teg_units::TemperatureDelta;
 
 /// The last (ΔT row → chosen configuration) pair a scheme computed.
-#[derive(Debug, Clone)]
+///
+/// An empty memo matches nothing.  Recording copies the row into the
+/// memo's own buffer, so after the first decision a record allocates only
+/// the cached configuration.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DecisionMemo {
     deltas: Vec<TemperatureDelta>,
-    configuration: Configuration,
+    configuration: Option<Configuration>,
 }
 
 impl DecisionMemo {
-    /// Records a fresh decision.
-    pub(crate) fn new(deltas: Vec<TemperatureDelta>, configuration: Configuration) -> Self {
-        Self {
-            deltas,
-            configuration,
-        }
+    /// Records a fresh decision, replacing the previous one.
+    pub(crate) fn record(&mut self, deltas: &[TemperatureDelta], configuration: Configuration) {
+        self.deltas.clear();
+        self.deltas.extend_from_slice(deltas);
+        self.configuration = Some(configuration);
     }
 
     /// The cached configuration, if `deltas` matches the memoised input
     /// exactly (bitwise; a NaN never matches, so a poisoned row recomputes).
     pub(crate) fn lookup(&self, deltas: &[TemperatureDelta]) -> Option<&Configuration> {
-        (self.deltas == deltas).then_some(&self.configuration)
+        self.configuration
+            .as_ref()
+            .filter(|_| self.deltas.as_slice() == deltas)
+    }
+
+    /// Forgets the recorded decision (the row buffer is kept for reuse).
+    pub(crate) fn clear(&mut self) {
+        self.configuration = None;
     }
 }

@@ -1,8 +1,7 @@
 //! Multiple linear regression (the predictor the paper selects).
 
-use crate::dataset::SlidingWindowDataset;
 use crate::error::PredictError;
-use crate::linalg::{design_times_targets, dot, gram_matrix, solve};
+use crate::linalg::{dot, solve};
 use crate::predictor::Predictor;
 
 /// Autoregressive multiple linear regression fitted by ridge-regularised
@@ -95,13 +94,45 @@ impl Predictor for MultipleLinearRegression {
         self.window
     }
 
+    /// Solves the ridge normal equations `(XᵀX + λI)·θ = Xᵀy`, where each
+    /// row of `X` is one lagged window plus a bias `1.0` and `y` is the
+    /// sample after it.
+    ///
+    /// `XᵀX` and `Xᵀy` are accumulated straight from the windows of
+    /// `series`, sample by sample and row by column, the order
+    /// [`gram_matrix`](crate::linalg::gram_matrix) and
+    /// [`design_times_targets`](crate::linalg::design_times_targets) use
+    /// over a [`SlidingWindowDataset`](crate::SlidingWindowDataset), so the
+    /// coefficients are the same bits without building the design matrix.
     fn fit(&mut self, series: &[f64]) -> Result<(), PredictError> {
-        let dataset = SlidingWindowDataset::build(series, self.window, 1)?;
-        let design = dataset.features_with_bias();
-        let gram = gram_matrix(&design, self.ridge);
-        let rhs = design_times_targets(&design, dataset.targets());
-        let coefficients = solve(gram, rhs)?;
-        self.coefficients = Some(coefficients);
+        let window = self.window;
+        let needed = window + 1;
+        if series.len() < needed {
+            return Err(PredictError::InsufficientData {
+                needed,
+                available: series.len(),
+            });
+        }
+        let cols = window + 1;
+        let mut gram = vec![vec![0.0; cols]; cols];
+        let mut rhs = vec![0.0; cols];
+        for start in 0..=(series.len() - needed) {
+            let lags = &series[start..start + window];
+            let target = series[start + window];
+            // Column `window` is the bias.
+            let x = |i: usize| if i < window { lags[i] } else { 1.0 };
+            for (i, gram_row) in gram.iter_mut().enumerate() {
+                let xi = x(i);
+                for (j, entry) in gram_row.iter_mut().enumerate() {
+                    *entry += xi * x(j);
+                }
+                rhs[i] += xi * target;
+            }
+        }
+        for (i, row) in gram.iter_mut().enumerate() {
+            row[i] += self.ridge;
+        }
+        self.coefficients = Some(solve(gram, rhs)?);
         Ok(())
     }
 
@@ -129,7 +160,10 @@ impl Predictor for MultipleLinearRegression {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::SlidingWindowDataset;
+    use crate::linalg::{design_times_targets, gram_matrix};
     use crate::metrics::mape;
+    use proptest::prelude::*;
 
     #[test]
     fn construction_validation() {
@@ -214,6 +248,67 @@ mod tests {
             m.predict_next(&[1.0, 2.0]),
             Err(PredictError::InsufficientData { .. })
         ));
+    }
+
+    /// The dataset + `gram_matrix` + `design_times_targets` fit that
+    /// `fit` replaced, kept as its oracle.
+    fn oracle_fit(window: usize, ridge: f64, series: &[f64]) -> Result<Vec<f64>, PredictError> {
+        let dataset = SlidingWindowDataset::build(series, window, 1)?;
+        let design = dataset.features_with_bias();
+        let gram = gram_matrix(&design, ridge);
+        let rhs = design_times_targets(&design, dataset.targets());
+        solve(gram, rhs)
+    }
+
+    #[test]
+    fn short_series_report_what_the_dataset_reported() {
+        for window in 1..=8 {
+            for len in 0..=window {
+                let series: Vec<f64> = (0..len).map(|i| 90.0 + i as f64).collect();
+                let mut m = MultipleLinearRegression::new(window).unwrap();
+                assert_eq!(
+                    m.fit(&series),
+                    oracle_fit(window, 1e-6, &series).map(|_| ()),
+                    "window {window}, {len} samples"
+                );
+                assert!(!m.is_fitted());
+            }
+        }
+    }
+
+    fn assert_fit_matches_oracle(window: usize, ridge: f64, series: &[f64]) {
+        let mut m = MultipleLinearRegression::with_ridge(window, ridge).unwrap();
+        let fitted = m.fit(series);
+        match oracle_fit(window, ridge, series) {
+            Ok(expected) => {
+                assert_eq!(fitted, Ok(()));
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(m.coefficients().unwrap()), bits(&expected));
+            }
+            Err(expected) => assert_eq!(fitted, Err(expected)),
+        }
+    }
+
+    proptest! {
+        /// Accumulating the normal equations straight from the windows
+        /// gives the oracle's coefficients bit for bit (or its error), on
+        /// arbitrary series and on a slowly drifting, nearly collinear
+        /// coolant-like series, the case the ridge term exists for.
+        #[test]
+        fn prop_fit_matches_the_dataset_oracle(
+            window in 1usize..9,
+            series in collection::vec(-200.0_f64..200.0, 1..80),
+            ridge in 0.0_f64..1e-3,
+            len in 1usize..60,
+            phase in 0.0_f64..6.3,
+            drift in -0.2_f64..0.2,
+        ) {
+            assert_fit_matches_oracle(window, ridge, &series);
+            let smooth: Vec<f64> = (0..len)
+                .map(|t| 92.0 + drift * t as f64 + 3.0 * (0.05 * t as f64 + phase).sin())
+                .collect();
+            assert_fit_matches_oracle(window, 1e-6, &smooth);
+        }
     }
 
     #[test]
