@@ -1,9 +1,13 @@
 //! Integration tests of the streaming session API: lockstep comparison
-//! equivalence with sequential session runs, the shared-thermal-trace solve
+//! equivalence with sequential session runs (healthy and faulted), the shared-thermal-trace solve
 //! count, and the long-period invocation regression.
 
-use teg_harvest::reconfig::{Dnor, Inor, InorConfig, Reconfigurer, SchemeSpec};
-use teg_harvest::sim::{Comparison, RuntimePolicy, Scenario, SimSession};
+use teg_harvest::array::SwitchStuck;
+use teg_harvest::reconfig::{Dnor, Inor, InorConfig, Reconfigurer, SchemeSpec, SensorFault};
+use teg_harvest::sim::{
+    Comparison, FaultAction, FaultEvent, FaultPlan, FaultSeverity, RuntimePolicy, Scenario,
+    SimSession, SimulationReport,
+};
 use teg_harvest::units::Seconds;
 
 fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
@@ -15,22 +19,13 @@ fn scenario(modules: usize, seconds: usize, seed: u64) -> Scenario {
         .expect("valid scenario")
 }
 
-#[test]
-fn comparison_matches_four_sequential_engine_runs() {
-    // Under a fixed runtime charge and DNOR's assumed computation time no
-    // wall clock reaches any result, so lockstep and sequential runs must
-    // agree bit for bit, overhead and net energy included.
-    let modules = 24;
-    let s = scenario(modules, 50, 11);
+/// Runs `specs` once in lockstep and once as sequential standalone sessions
+/// under a fixed runtime charge, and asserts the two agree bit for bit:
+/// whole-report equality plus `to_bits` on every record's net power and
+/// overhead.  Returns the lockstep reports.
+fn assert_lockstep_matches_sequential(s: &Scenario, specs: &[SchemeSpec]) -> Vec<SimulationReport> {
     let policy = RuntimePolicy::Fixed(Seconds::new(0.002));
-    let specs = [
-        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
-        SchemeSpec::inor(),
-        SchemeSpec::ehtr(),
-        SchemeSpec::baseline_square_grid(modules),
-    ];
-
-    let lockstep = Comparison::from_specs(&s, &specs)
+    let lockstep = Comparison::from_specs(s, specs)
         .runtime_policy(policy)
         .run()
         .expect("comparison");
@@ -38,7 +33,7 @@ fn comparison_matches_four_sequential_engine_runs() {
 
     for (spec, lock) in specs.iter().zip(lockstep.reports()) {
         let mut scheme = spec.build();
-        let sequential = SimSession::new(&s, scheme.as_mut())
+        let sequential = SimSession::new(s, scheme.as_mut())
             .expect("session")
             .with_runtime_policy(policy)
             .run()
@@ -60,6 +55,110 @@ fn comparison_matches_four_sequential_engine_runs() {
                 a.time()
             );
         }
+    }
+    lockstep.reports().to_vec()
+}
+
+#[test]
+fn comparison_matches_four_sequential_engine_runs() {
+    // Under a fixed runtime charge and DNOR's assumed computation time no
+    // wall clock reaches any result, so lockstep and sequential runs must
+    // agree bit for bit, overhead and net energy included.
+    let modules = 24;
+    let s = scenario(modules, 50, 11);
+    let specs = [
+        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
+        SchemeSpec::inor(),
+        SchemeSpec::ehtr(),
+        SchemeSpec::baseline_square_grid(modules),
+    ];
+    assert_lockstep_matches_sequential(&s, &specs);
+}
+
+#[test]
+fn faulted_comparison_matches_four_sequential_engine_runs() {
+    // The faulted twin: module, switch and sensor faults (seeded noise and
+    // stuck readings included) fire mid-drive, so the lockstep field shares
+    // a degraded plant whose fault state, sensor view and realised wiring
+    // must reach every scheme exactly as a standalone session sees them.
+    let modules = 48;
+    let seconds = 120;
+    let random = FaultPlan::random(modules, seconds, FaultSeverity::severe(), 5);
+    let mut events = random.events().to_vec();
+    events.extend([
+        FaultEvent::new(
+            10,
+            FaultAction::Sensor {
+                module: 3,
+                fault: SensorFault::Dropout,
+            },
+        ),
+        FaultEvent::new(
+            20,
+            FaultAction::Sensor {
+                module: 17,
+                fault: SensorFault::Stuck,
+            },
+        ),
+        FaultEvent::new(
+            25,
+            FaultAction::Sensor {
+                module: 30,
+                fault: SensorFault::Noisy { sigma: 2.5 },
+            },
+        ),
+        FaultEvent::new(
+            30,
+            FaultAction::Switch {
+                link: 11,
+                stuck: SwitchStuck::Open,
+            },
+        ),
+        FaultEvent::new(
+            40,
+            FaultAction::Switch {
+                link: 26,
+                stuck: SwitchStuck::Closed,
+            },
+        ),
+        FaultEvent::new(90, FaultAction::SensorRepair { module: 3 }),
+    ]);
+    let plan = FaultPlan::new(events).with_sensor_seed(random.sensor_seed());
+    let fired = plan.len();
+    let s = Scenario::builder()
+        .module_count(modules)
+        .duration_seconds(seconds)
+        .seed(11)
+        .fault_plan(plan)
+        .build()
+        .expect("valid faulted scenario");
+    let specs = [
+        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
+        SchemeSpec::inor(),
+        SchemeSpec::ehtr(),
+        SchemeSpec::baseline_square_grid(modules),
+    ];
+    let lockstep = assert_lockstep_matches_sequential(&s, &specs);
+
+    // Per-scheme fault accounting: the lockstep records carry the same
+    // faulted-step and fired-event counts a standalone session reports.
+    for (spec, lock) in specs.iter().zip(&lockstep) {
+        let mut scheme = spec.build();
+        let mut session = SimSession::new(&s, scheme.as_mut())
+            .expect("session")
+            .with_runtime_policy(RuntimePolicy::Fixed(Seconds::new(0.002)));
+        while session.step().expect("step").is_some() {}
+        let summary = session.summary();
+        let faulted_steps = lock
+            .records()
+            .iter()
+            .filter(|r| r.faults_active() > 0)
+            .count();
+        let fault_events: usize = lock.records().iter().map(|r| r.fault_events()).sum();
+        assert_eq!(faulted_steps, summary.faulted_steps(), "{}", lock.scheme());
+        assert_eq!(fault_events, summary.fault_events(), "{}", lock.scheme());
+        assert_eq!(fault_events, fired, "{}", lock.scheme());
+        assert!(faulted_steps > 0, "{}", lock.scheme());
     }
 }
 
