@@ -305,7 +305,7 @@ impl TegArray {
     // The `_with` methods are thin wrappers over the shared solve kernel
     // (`crate::solver`), so the healthy and degraded paths — and the
     // batched candidate scans the schemes run — are one implementation.
-    // Hot-path callers hold an `ArraySolver`/`ArrayPlan` themselves and
+    // Hot-path callers hold an `ArraySolver` themselves and
     // skip the per-call scratch these compatibility entry points pay for.
 
     fn maximum_power_point_with(

@@ -53,6 +53,7 @@
 //! # }
 //! ```
 
+#[cfg(test)]
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -302,6 +303,46 @@ impl FaultState {
         if self.links.iter().all(Option::is_none) {
             return Ok(commanded.clone());
         }
+        // Merge walk over the commanded boundaries after module 0 and the
+        // boundaries `link + 1` of the stuck links, both ascending: a stuck
+        // link decides its boundary, every other commanded one survives.
+        let mut commanded_starts = commanded.group_starts()[1..].iter().copied().peekable();
+        let mut stuck_links = self
+            .links
+            .iter()
+            .enumerate()
+            .filter_map(|(link, stuck)| stuck.map(|stuck| (link + 1, stuck)))
+            .peekable();
+        let mut starts = Vec::with_capacity(commanded.group_count() + 1);
+        starts.push(0);
+        loop {
+            let next_start = commanded_starts.peek().copied();
+            match stuck_links.peek().copied() {
+                Some((boundary, stuck)) if next_start.is_none_or(|start| boundary <= start) => {
+                    if next_start == Some(boundary) {
+                        commanded_starts.next();
+                    }
+                    if stuck == SwitchStuck::Open {
+                        starts.push(boundary);
+                    }
+                    stuck_links.next();
+                }
+                _ => match commanded_starts.next() {
+                    Some(start) => starts.push(start),
+                    None => break,
+                },
+            }
+        }
+        Configuration::new(starts, commanded.module_count())
+    }
+
+    /// The set-based realisation [`FaultState::effective_configuration`]
+    /// replaced, kept as its test oracle.
+    #[cfg(test)]
+    fn effective_configuration_by_set(
+        &self,
+        commanded: &Configuration,
+    ) -> Result<Configuration, ArrayError> {
         let mut boundaries: BTreeSet<usize> = commanded.group_starts().iter().copied().collect();
         for (link, stuck) in self.links.iter().enumerate() {
             match stuck {
@@ -322,6 +363,7 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn healthy_state_has_no_faults() {
@@ -443,5 +485,34 @@ mod tests {
         assert_eq!(ModuleFault::Derated(0.5).tag(), "derate");
         assert_eq!(ModuleFault::OpenCircuit.tag(), "open");
         assert_eq!(ModuleFault::ShortCircuit.tag(), "short");
+    }
+
+    proptest! {
+        /// The merge walk realises exactly the configuration the set-based
+        /// oracle does, for arbitrary commanded partitions and stuck-switch
+        /// masks: each link draws a commanded boundary bit and one of
+        /// healthy / stuck-open / stuck-closed.
+        #[test]
+        fn prop_merge_walk_matches_the_set_oracle(
+            links in collection::vec(0usize..6, 0..90),
+        ) {
+            let n = links.len() + 1;
+            let mut starts = vec![0];
+            let mut state = FaultState::healthy(n);
+            for (link, &code) in links.iter().enumerate() {
+                if code % 2 == 1 {
+                    starts.push(link + 1);
+                }
+                match code / 2 {
+                    1 => state.set_switch_fault(link, SwitchStuck::Open).unwrap(),
+                    2 => state.set_switch_fault(link, SwitchStuck::Closed).unwrap(),
+                    _ => {}
+                }
+            }
+            let commanded = Configuration::new(starts, n).unwrap();
+            let realised = state.effective_configuration(&commanded).unwrap();
+            let oracle = state.effective_configuration_by_set(&commanded).unwrap();
+            prop_assert_eq!(realised, oracle);
+        }
     }
 }

@@ -24,11 +24,11 @@
 //!
 //! Hot loops — the reconfiguration algorithms' candidate scans, the
 //! simulation session's per-step physics, MPPT perturbation — go through
-//! the compiled-plan layer instead of the convenience methods:
-//! [`ArrayPlan`] compiles a configuration (+ faults) once, and
-//! [`ArraySolver`] evaluates it (or whole batches of candidates) with
-//! reusable scratch and zero per-call allocation, bit-identically to the
-//! [`TegArray`] methods (see the [`solver`-module docs](ArraySolver)).
+//! [`ArraySolver`] instead of the convenience methods: it loads one ΔT
+//! vector's module terms (+ faults) once and solves any number of wirings
+//! or currents against them with reusable scratch and zero per-call
+//! allocation, bit-identically to the [`TegArray`] methods (see the
+//! [`solver`-module docs](ArraySolver)).
 //!
 //! # Examples
 //!
@@ -66,5 +66,5 @@ pub use error::ArrayError;
 pub use fault::{FaultState, ModuleFault, SwitchStuck};
 pub use ideal::ideal_power;
 pub use overhead::{OverheadBreakdown, SwitchingOverheadModel};
-pub use solver::{mpp_power_from_group_sums, ArrayPlan, ArraySolver, GroupSumMemo, SolvedPoint};
+pub use solver::{mpp_power_from_group_sums, ArraySolver, GroupSumMemo, SolvedPoint};
 pub use switches::{PairLink, SwitchBank};

@@ -1,4 +1,4 @@
-//! Compiled solve plans and the reusable, batched electrical solver.
+//! The reusable, batched electrical solver.
 //!
 //! The reconfiguration algorithms are candidate scans: INOR/EHTR evaluate
 //! every feasible group count and DNOR additionally integrates predicted
@@ -6,18 +6,12 @@
 //! [`TegArray::mpp_power`] re-validates the configuration, re-walks the
 //! module list and re-derives every module's Seebeck EMF and internal
 //! conductance from scratch — twice (once for the optimum current, once for
-//! the operating point).  This module splits that work by how often it
-//! changes:
-//!
-//! * [`ArrayPlan`] — a [`Configuration`] (+ optional [`FaultState`])
-//!   **compiled once** into flat structure-of-arrays form: group offsets
-//!   plus per-module fault constants (connected flag, EMF derating factor,
-//!   short flag).  Validation happens at compile time, never per solve.
-//! * [`ArraySolver`] — caller-owned scratch buffers plus the one solve
-//!   kernel.  After the buffers warm up, every solve is allocation-free.
-//!   [`ArraySolver::load`] derives the per-module EMF/conductance terms for
-//!   one ΔT vector **once**, and [`ArraySolver::evaluate_candidates`]
-//!   amortises them across any number of candidate configurations.
+//! the operating point).  [`ArraySolver`] splits that work by how often it
+//! changes: caller-owned scratch buffers plus the one solve kernel, so that
+//! after the buffers warm up every solve is allocation-free.
+//! [`ArraySolver::load`] derives the per-module EMF/conductance terms for
+//! one ΔT vector (and optional [`FaultState`]) **once**; every later solve
+//! only accumulates its configuration's group sums against them.
 //!
 //! The kernel performs the same IEEE-754 operations in the same order as
 //! the original per-call path, so results are **bit-identical** — the
@@ -28,16 +22,17 @@
 //! * Scanning many candidate partitions at one ΔT vector (a reconfiguration
 //!   inner loop): [`ArraySolver::load`] + [`ArraySolver::evaluate_candidates`]
 //!   (or per-candidate [`ArraySolver::mpp_power`]).
-//! * Re-solving one fixed wiring as temperatures evolve (a simulation
-//!   session, an MPPT loop): compile an [`ArrayPlan`] once, call
-//!   [`ArraySolver::solve_mpp`] / [`ArraySolver::solve_at`] per step.
+//! * Solving several wirings, or one wiring at many currents, at one ΔT
+//!   vector (a simulation step shared by every scheme of a lockstep field,
+//!   an MPPT loop): [`ArraySolver::load`] once, then [`ArraySolver::mpp`] /
+//!   [`ArraySolver::operate_at`] per wiring or current.
 //! * One-off solves where convenience beats throughput: the original
 //!   [`TegArray`] methods, which are now thin wrappers over this kernel.
 //!
 //! # Examples
 //!
 //! ```
-//! use teg_array::{ArrayPlan, ArraySolver, Configuration, TegArray};
+//! use teg_array::{ArraySolver, Configuration, TegArray};
 //! use teg_device::{TegDatasheet, TegModule};
 //! use teg_units::TemperatureDelta;
 //!
@@ -56,10 +51,11 @@
 //! solver.evaluate_candidates(&candidates, &mut powers)?;
 //! assert_eq!(powers.len(), 6);
 //!
-//! // Compiled plan: validate once, re-solve as temperatures change.
-//! let plan = ArrayPlan::compile(&array, &candidates[3], None)?;
-//! let point = solver.solve_mpp(&array, &plan, &deltas)?;
+//! // Full operating points against the same loaded terms.
+//! let point = solver.mpp(&candidates[3])?;
 //! assert_eq!(point.power(), powers[3]);
+//! let half = solver.operate_at(&candidates[3], point.current() * 0.5)?;
+//! assert!(half.power() < point.power());
 //! # Ok(())
 //! # }
 //! ```
@@ -73,98 +69,6 @@ use crate::configuration::Configuration;
 use crate::electrical::{GroupOperatingPoint, TegArray};
 use crate::error::ArrayError;
 use crate::fault::{FaultState, ModuleFault};
-
-/// A [`Configuration`] (+ optional [`FaultState`]) compiled into the flat
-/// form the solve kernel consumes: group offsets plus per-module fault
-/// constants, validated once at compile time.
-///
-/// Plans are plain data (`Clone + PartialEq`, no borrows), so a simulation
-/// session can cache one per wiring and re-solve it against every new ΔT
-/// row without re-validating anything.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayPlan {
-    module_count: usize,
-    /// Group boundaries as `group_count + 1` offsets: group `j` covers
-    /// modules `offsets[j]..offsets[j + 1]`.
-    offsets: Vec<usize>,
-    /// Per module: `false` when an open-circuit fault removes the module
-    /// from its group's Norton sums.
-    connected: Vec<bool>,
-    /// Per module: the EMF derating factor (1.0 when healthy).
-    emf_factor: Vec<f64>,
-    /// Per module: `true` when a short-circuit fault pins the enclosing
-    /// group to zero volts.
-    short: Vec<bool>,
-}
-
-impl ArrayPlan {
-    /// Compiles a configuration (and optional fault state) for an array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::InvalidConfiguration`] when the configuration
-    /// or the fault state covers a different module count than the array.
-    pub fn compile(
-        array: &TegArray,
-        config: &Configuration,
-        faults: Option<&FaultState>,
-    ) -> Result<Self, ArrayError> {
-        let module_count = array.len();
-        if config.module_count() != module_count {
-            return Err(ArrayError::InvalidConfiguration {
-                reason: format!(
-                    "configuration covers {} modules but the array has {module_count}",
-                    config.module_count()
-                ),
-            });
-        }
-        if let Some(faults) = faults {
-            if faults.module_count() != module_count {
-                return Err(ArrayError::InvalidConfiguration {
-                    reason: format!(
-                        "fault state covers {} modules but the array has {module_count}",
-                        faults.module_count()
-                    ),
-                });
-            }
-        }
-        let mut offsets = Vec::with_capacity(config.group_count() + 1);
-        offsets.extend_from_slice(config.group_starts());
-        offsets.push(module_count);
-        let mut connected = vec![true; module_count];
-        let mut emf_factor = vec![1.0; module_count];
-        let mut short = vec![false; module_count];
-        if let Some(faults) = faults {
-            for i in 0..module_count {
-                match faults.module_fault(i) {
-                    Some(ModuleFault::OpenCircuit) => connected[i] = false,
-                    Some(ModuleFault::ShortCircuit) => short[i] = true,
-                    Some(ModuleFault::Derated(factor)) => emf_factor[i] = factor,
-                    None => {}
-                }
-            }
-        }
-        Ok(Self {
-            module_count,
-            offsets,
-            connected,
-            emf_factor,
-            short,
-        })
-    }
-
-    /// Number of modules the plan covers.
-    #[must_use]
-    pub const fn module_count(&self) -> usize {
-        self.module_count
-    }
-
-    /// Number of series groups.
-    #[must_use]
-    pub fn group_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
 
 /// The solved array state one kernel invocation produces: string current,
 /// terminal voltage and delivered power.  Per-group detail stays in the
@@ -197,7 +101,7 @@ impl SolvedPoint {
     }
 }
 
-/// Every `load`/`load_plan` stamps the solver with a fresh value from this
+/// Every `load` stamps the solver with a fresh value from this
 /// process-wide counter, so a [`GroupSumMemo`] can tell "same terms" apart
 /// from "anything changed" — even across distinct
 /// solver instances sharing one memo.
@@ -221,8 +125,9 @@ fn next_generation() -> u64 {
 /// is produced by the same function, so results are **bit-identical** to
 /// [`ArraySolver::evaluate_candidates`].
 ///
-/// The memo self-invalidates: [`ArraySolver::load`] and plan solves stamp
-/// the solver with a fresh generation, and a memo whose generation disagrees is cleared before use.
+/// The memo self-invalidates: [`ArraySolver::load`] stamps the solver with
+/// a fresh generation, and a memo whose generation disagrees is cleared
+/// before use.
 /// Stale reuse is therefore impossible, even when one memo is passed
 /// between different solvers.
 #[derive(Debug, Clone, Default)]
@@ -355,28 +260,6 @@ impl ArraySolver {
             }
         }
         Ok(())
-    }
-
-    /// Loads per-module terms through a compiled plan's fault constants.
-    fn load_plan(&mut self, array: &TegArray, plan: &ArrayPlan, deltas: &[TemperatureDelta]) {
-        let n = plan.module_count;
-        self.reset_terms(n);
-        let modules = array.modules();
-        for i in 0..n {
-            self.short[i] = plan.short[i];
-            if !plan.connected[i] {
-                self.connected[i] = false;
-                continue;
-            }
-            let g = modules[i].internal_conductance(deltas[i]);
-            // Multiplying a healthy module's EMF by 1.0 is exact, so the
-            // branch-free form matches the fault-aware path bit for bit.
-            let e = modules[i].open_circuit_voltage(deltas[i]).value() * plan.emf_factor[i];
-            self.g[i] = g;
-            self.ge[i] = g * e;
-            self.connected[i] = true;
-        }
-        self.loaded_modules = n;
     }
 
     fn reset_terms(&mut self, n: usize) {
@@ -516,49 +399,6 @@ impl ArraySolver {
         Ok(())
     }
 
-    /// Analytic maximum power point of a compiled plan at one ΔT vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::InvalidConfiguration`] when the plan was
-    /// compiled for a different array size, or
-    /// [`ArrayError::DimensionMismatch`] when the ΔT vector disagrees.
-    pub fn solve_mpp(
-        &mut self,
-        array: &TegArray,
-        plan: &ArrayPlan,
-        deltas: &[TemperatureDelta],
-    ) -> Result<SolvedPoint, ArrayError> {
-        self.check_plan(array, plan, deltas)?;
-        self.load_plan(array, plan, deltas);
-        let n = plan.group_count();
-        if !self.accumulate_plan_groups(plan) {
-            return Ok(self.zero_point(n));
-        }
-        Ok(self.mpp_from_groups(n))
-    }
-
-    /// Solves a compiled plan at an imposed string current.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ArraySolver::solve_mpp`].
-    pub fn solve_at(
-        &mut self,
-        array: &TegArray,
-        plan: &ArrayPlan,
-        deltas: &[TemperatureDelta],
-        current: Amps,
-    ) -> Result<SolvedPoint, ArrayError> {
-        self.check_plan(array, plan, deltas)?;
-        self.load_plan(array, plan, deltas);
-        let n = plan.group_count();
-        if !self.accumulate_plan_groups(plan) {
-            return Ok(self.zero_point(n));
-        }
-        Ok(self.operate_from_groups(n, current))
-    }
-
     /// Per-group operating points of the most recent full solve, in series
     /// order (valid until the next solver call).
     #[must_use]
@@ -579,30 +419,6 @@ impl ArraySolver {
                     candidate.module_count(),
                     self.loaded_modules
                 ),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_plan(
-        &self,
-        array: &TegArray,
-        plan: &ArrayPlan,
-        deltas: &[TemperatureDelta],
-    ) -> Result<(), ArrayError> {
-        if plan.module_count != array.len() {
-            return Err(ArrayError::InvalidConfiguration {
-                reason: format!(
-                    "plan covers {} modules but the array has {}",
-                    plan.module_count,
-                    array.len()
-                ),
-            });
-        }
-        if deltas.len() != plan.module_count {
-            return Err(ArrayError::DimensionMismatch {
-                modules: plan.module_count,
-                temperatures: deltas.len(),
             });
         }
         Ok(())
@@ -665,13 +481,6 @@ impl ArraySolver {
             self.group_shorted.push(shorted);
         }
         !broken
-    }
-
-    /// [`ArraySolver::accumulate_groups`] over a plan's precompiled offsets
-    /// (the offsets minus their trailing sentinel are exactly the group
-    /// starts).
-    fn accumulate_plan_groups(&mut self, plan: &ArrayPlan) -> bool {
-        self.accumulate_groups(&plan.offsets[..plan.group_count()], plan.module_count)
     }
 
     /// Sums the loaded terms over `start..end` in module order — the same
@@ -846,19 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_compile_validates_module_counts() {
-        let array = TegArray::uniform(module(), 6);
-        let config = Configuration::uniform(8, 2).unwrap();
-        assert!(ArrayPlan::compile(&array, &config, None).is_err());
-        let config = Configuration::uniform(6, 2).unwrap();
-        let faults = FaultState::healthy(5);
-        assert!(ArrayPlan::compile(&array, &config, Some(&faults)).is_err());
-        let plan = ArrayPlan::compile(&array, &config, None).unwrap();
-        assert_eq!(plan.module_count(), 6);
-        assert_eq!(plan.group_count(), 2);
-    }
-
-    #[test]
     fn solver_rejects_unloaded_and_mismatched_candidates() {
         let array = TegArray::uniform(module(), 6);
         let deltas = gradient_deltas(6, 40.0, 20.0);
@@ -876,43 +672,44 @@ mod tests {
     }
 
     #[test]
-    fn plan_solves_match_the_legacy_methods_bitwise() {
+    fn loaded_solves_match_the_legacy_methods_bitwise() {
         let array = TegArray::uniform(module(), 9);
         let deltas = gradient_deltas(9, 35.0, 30.0);
         let config = Configuration::new(vec![0, 2, 5], 9).unwrap();
-        let plan = ArrayPlan::compile(&array, &config, None).unwrap();
         let mut solver = ArraySolver::new();
+        solver.load(&array, &deltas, None).unwrap();
 
         let legacy = array.maximum_power_point(&config, &deltas).unwrap();
-        let point = solver.solve_mpp(&array, &plan, &deltas).unwrap();
+        let point = solver.mpp(&config).unwrap();
         assert_eq!(point.current(), legacy.current());
         assert_eq!(point.voltage(), legacy.voltage());
         assert_eq!(point.power(), legacy.power());
         assert_eq!(solver.group_points(), legacy.groups());
 
         let legacy = array.operate_at(&config, &deltas, Amps::new(0.42)).unwrap();
-        let point = solver
-            .solve_at(&array, &plan, &deltas, Amps::new(0.42))
-            .unwrap();
+        let point = solver.operate_at(&config, Amps::new(0.42)).unwrap();
         assert_eq!(point.voltage(), legacy.voltage());
         assert_eq!(point.power(), legacy.power());
         assert_eq!(solver.group_points(), legacy.groups());
     }
 
     #[test]
-    fn plan_solves_validate_dimensions() {
+    fn loaded_solves_validate_dimensions() {
         let array = TegArray::uniform(module(), 6);
         let other = TegArray::uniform(module(), 8);
         let config = Configuration::uniform(6, 3).unwrap();
-        let plan = ArrayPlan::compile(&array, &config, None).unwrap();
         let mut solver = ArraySolver::new();
         let deltas = gradient_deltas(6, 40.0, 10.0);
-        assert!(solver.solve_mpp(&other, &plan, &deltas).is_err());
+        // A ΔT vector of the wrong length never loads.
+        assert!(solver.load(&other, &deltas, None).is_err());
         let short = gradient_deltas(5, 40.0, 10.0);
-        assert!(solver.solve_mpp(&array, &plan, &short).is_err());
-        assert!(solver
-            .solve_at(&array, &plan, &short, Amps::new(0.1))
-            .is_err());
+        assert!(solver.load(&array, &short, None).is_err());
+        // A wiring of another array size never solves against loaded terms.
+        solver
+            .load(&other, &gradient_deltas(8, 40.0, 10.0), None)
+            .unwrap();
+        assert!(solver.mpp(&config).is_err());
+        assert!(solver.operate_at(&config, Amps::new(0.1)).is_err());
     }
 
     #[test]
@@ -1066,11 +863,11 @@ mod tests {
             prop_assert_eq!(power.value().to_bits(), expected.value().to_bits());
         }
 
-        /// A compiled plan solved per ΔT vector matches the legacy
-        /// whole-operating-point methods bitwise, healthy and faulted, at
-        /// the MPP and at arbitrary imposed currents.
+        /// Terms loaded once per ΔT vector and solved per wiring match the
+        /// legacy whole-operating-point methods bitwise, healthy and
+        /// faulted, at the MPP and at arbitrary imposed currents.
         #[test]
-        fn prop_plan_solver_matches_legacy_operating_points(
+        fn prop_loaded_solver_matches_legacy_operating_points(
             n in 2usize..20,
             base in 0.0_f64..80.0,
             span in -30.0_f64..50.0,
@@ -1085,14 +882,14 @@ mod tests {
             let mut solver = ArraySolver::new();
 
             for active in [None, Some(&faults)] {
-                let plan = ArrayPlan::compile(&array, &config, active).unwrap();
+                solver.load(&array, &deltas, active).unwrap();
                 let legacy_mpp = match active {
                     None => array.maximum_power_point(&config, &deltas).unwrap(),
                     Some(f) => array
                         .maximum_power_point_faulted(&config, &deltas, f)
                         .unwrap(),
                 };
-                let point = solver.solve_mpp(&array, &plan, &deltas).unwrap();
+                let point = solver.mpp(&config).unwrap();
                 prop_assert_eq!(point.current(), legacy_mpp.current());
                 prop_assert_eq!(point.voltage(), legacy_mpp.voltage());
                 prop_assert_eq!(point.power().value().to_bits(), legacy_mpp.power().value().to_bits());
@@ -1105,7 +902,7 @@ mod tests {
                         .operate_at_faulted(&config, &deltas, probe, f)
                         .unwrap(),
                 };
-                let at = solver.solve_at(&array, &plan, &deltas, probe).unwrap();
+                let at = solver.operate_at(&config, probe).unwrap();
                 prop_assert_eq!(at.current(), legacy_at.current());
                 prop_assert_eq!(at.voltage(), legacy_at.voltage());
                 prop_assert_eq!(at.power().value().to_bits(), legacy_at.power().value().to_bits());

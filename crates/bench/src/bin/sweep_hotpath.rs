@@ -12,6 +12,12 @@
 //! headline grid's cached-vs-uncached speedup or a throughput-gated grid's
 //! cached throughput drops below its committed floor — so CI catches a
 //! regressing cache or decision pipeline.
+//!
+//! It also runs one scale-onr-shaped cell (400 modules, severe faults,
+//! deterministic DNOR + INOR + baseline) and asserts, in release, that the
+//! lockstep `Comparison` — one shared plant for the whole field — equals
+//! the sequential standalone `SimSession` runs bit for bit, before timing
+//! the comparison as `onr_cell_ms` (recorded, not gated).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -19,7 +25,8 @@ use std::time::Instant;
 
 use teg_bench::available_parallelism;
 use teg_sim::{
-    FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SweepRunner,
+    Comparison, FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SimSession,
+    SolverPool, SweepRunner,
 };
 use teg_units::Seconds;
 
@@ -127,6 +134,78 @@ fn paper_grid(shared: bool) -> ScenarioGrid {
     builder.build().expect("paper grid")
 }
 
+/// One cell of the e2e-bench `scale-onr` workload's shape: the scalability
+/// lineup at 400 modules over the 800 s paper drive, severely faulted.
+const ONR_CELL: &str = "modules=400|seeds=1|drive=porter-ii-800s:800|var=none\
+                        |fault=random:severe:severe|lineup=fixed:onr:dnor-det:0.002+inor+baseline";
+
+/// Asserts the scale-onr-shaped cell's lockstep comparison equals its
+/// sequential standalone sessions bit for bit, then returns the best-of-N
+/// wall time of the comparison in milliseconds (thermal trace already
+/// solved, solver drawn from a warm pool — the sweep worker's steady state).
+fn measure_onr_cell() -> f64 {
+    let grid = teg_sim::GridSpec::parse(ONR_CELL)
+        .and_then(|spec| spec.to_grid())
+        .expect("scale-onr cell grid");
+    let cell = &grid.cells()[0];
+    let scenario = grid.scenario(cell);
+    assert!(
+        !scenario.fault_plan().is_empty(),
+        "the scale-onr cell must be faulted"
+    );
+    let specs = grid.lineup(cell).specs(cell.key().module_count());
+    let policy = RuntimePolicy::Fixed(CHARGE);
+    let lockstep = Comparison::from_specs(scenario, &specs)
+        .runtime_policy(policy)
+        .run()
+        .expect("scale-onr lockstep comparison");
+    for (spec, lock) in specs.iter().zip(lockstep.reports()) {
+        let mut scheme = spec.build();
+        let sequential = SimSession::new(scenario, scheme.as_mut())
+            .map(|session| session.with_runtime_policy(policy))
+            .and_then(SimSession::run)
+            .expect("scale-onr standalone session");
+        assert_eq!(
+            lock,
+            &sequential,
+            "scale-onr cell: lockstep {} differs from its standalone session",
+            sequential.scheme()
+        );
+        for (a, b) in lock.records().iter().zip(sequential.records()) {
+            for (x, y) in [
+                (a.array_power().value(), b.array_power().value()),
+                (a.net_power().value(), b.net_power().value()),
+                (a.overhead_energy().value(), b.overhead_energy().value()),
+            ] {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "scale-onr cell: lockstep {} record at t={} is not bit-identical",
+                    sequential.scheme(),
+                    a.time()
+                );
+            }
+        }
+    }
+
+    let mut pool = SolverPool::new();
+    let mut best = f64::INFINITY;
+    for _ in 0..10 {
+        let start = Instant::now();
+        let report = Comparison::from_specs(scenario, &specs)
+            .runtime_policy(policy)
+            .solver_pool(&mut pool)
+            .run()
+            .expect("scale-onr comparison");
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            report, lockstep,
+            "scale-onr cell: a rerun changed the report"
+        );
+    }
+    best * 1e3
+}
+
 struct Case {
     name: &'static str,
     gating: bool,
@@ -220,7 +299,7 @@ fn measure(spec: &GridSpec) -> Case {
     }
 }
 
-fn render_json(cases: &[Case]) -> String {
+fn render_json(cases: &[Case], onr_cell_ms: f64) -> String {
     let gating_speedup = cases
         .iter()
         .filter(|c| c.gating)
@@ -264,7 +343,8 @@ fn render_json(cases: &[Case]) -> String {
          \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
          \"throughput_baseline_cells_per_s\": {THROUGHPUT_BASELINE_CPS},\n  \
          \"throughput_gating_ratio\": {throughput_gating_ratio:.2},\n  \
-         \"throughput_floor\": {THROUGHPUT_FLOOR}\n}}"
+         \"throughput_floor\": {THROUGHPUT_FLOOR},\n  \
+         \"onr_cell_ms\": {onr_cell_ms:.2}\n}}"
     );
     out
 }
@@ -285,6 +365,7 @@ fn main() -> ExitCode {
         },
     ];
     let cases: Vec<Case> = specs.iter().map(measure).collect();
+    let onr_cell_ms = measure_onr_cell();
 
     println!("# Sweep hot path: shared trace cache");
     println!("grid,cells,samples,unique_solves,isolated_solves,uncached_cps,cached_cps,speedup");
@@ -302,7 +383,9 @@ fn main() -> ExitCode {
         );
     }
 
-    let json = render_json(&cases);
+    println!("# scale-onr cell: lockstep == sequential sessions; best {onr_cell_ms:.2} ms");
+
+    let json = render_json(&cases, onr_cell_ms);
     if let Err(e) = std::fs::write("BENCH_sweep.json", &json) {
         eprintln!("failed to write BENCH_sweep.json: {e}");
         return ExitCode::FAILURE;

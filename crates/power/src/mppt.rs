@@ -5,7 +5,7 @@
 //! Femia et al.: perturb the operating current by a small step, keep going in
 //! the same direction while the measured power increases, reverse otherwise.
 
-use teg_array::{ArrayOperatingPoint, ArrayPlan, ArraySolver, Configuration, TegArray};
+use teg_array::{ArrayOperatingPoint, ArraySolver, Configuration, TegArray};
 use teg_units::{Amps, TemperatureDelta};
 
 use crate::error::PowerError;
@@ -140,15 +140,16 @@ impl PerturbObserve {
         group_sum_mean /= config.group_count() as f64;
         let mut current = Amps::new((group_sum_mean * 0.5).max(1e-3));
 
-        // The wiring is fixed for the whole loop: compile it once and let
-        // the solver's scratch absorb the hundreds of perturbation solves
-        // without a single per-iteration allocation.
-        let plan = ArrayPlan::compile(array, config, None)?;
+        // The wiring and the temperatures are fixed for the whole loop: load
+        // the module terms once and let the solver's scratch absorb the
+        // hundreds of perturbation solves without a single per-iteration
+        // allocation or module re-derivation.
         let mut solver = ArraySolver::new();
+        solver.load(array, deltas, None)?;
 
         let mut step = self.initial_step;
         let mut direction = 1.0_f64;
-        let first = solver.solve_at(array, &plan, deltas, current)?;
+        let first = solver.operate_at(config, current)?;
         let mut last_power = first.power();
         let mut best = first;
         let mut iterations = 0;
@@ -157,7 +158,7 @@ impl PerturbObserve {
         for _ in 0..max_iterations {
             iterations += 1;
             let candidate = Amps::new((current.value() + direction * step.value()).max(0.0));
-            let op = solver.solve_at(array, &plan, deltas, candidate)?;
+            let op = solver.operate_at(config, candidate)?;
             let power = op.power();
             if power > best.power() {
                 best = op;

@@ -2,12 +2,17 @@
 //!
 //! The paper's headline artefacts (Table I, Figs. 6–7) all pit INOR, DNOR,
 //! EHTR and the static baseline against each other on the *same* drive
-//! cycle.  [`Comparison`] drives one [`SimSession`] per scheme in lockstep —
-//! step 0 of every scheme, then step 1, … — over the scenario's cached
-//! [`ThermalTrace`], so the radiator model is solved exactly once per
-//! drive-cycle sample no matter how many schemes compete.
+//! cycle.  [`Comparison`] drives its schemes in lockstep — step 0 of every
+//! scheme, then step 1, … — over the scenario's cached [`ThermalTrace`], so
+//! the radiator model is solved exactly once per drive-cycle sample no
+//! matter how many schemes compete.  Each step is replayed once for the
+//! whole field: one plant fires the fault-plan events, corrupts the sensor
+//! view and loads the module terms, and every scheme's controller then
+//! decides and solves its wiring against it — exactly what a standalone
+//! [`SimSession`] per scheme would compute, bit for bit.
 //!
 //! [`ThermalTrace`]: crate::ThermalTrace
+//! [`SimSession`]: crate::SimSession
 
 use std::collections::HashSet;
 use std::fmt;
@@ -15,10 +20,11 @@ use std::fmt;
 use teg_reconfig::{Dnor, Ehtr, Inor, Reconfigurer, SchemeSpec, StaticBaseline};
 
 use crate::error::SimError;
+use crate::plant::Plant;
 use crate::record::StepRecord;
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::session::{RuntimePolicy, SimSession, SolverPool};
+use crate::session::{Controller, RuntimePolicy, SolverPool};
 
 /// A builder driving N schemes in lockstep over one scenario.
 ///
@@ -90,7 +96,7 @@ impl<'s> Comparison<'s> {
         })
     }
 
-    /// Replaces the runtime-accounting policy every session will run under
+    /// Replaces the runtime-accounting policy every scheme will run under
     /// (defaults to [`RuntimePolicy::Measured`]).
     #[must_use]
     pub fn runtime_policy(mut self, policy: RuntimePolicy) -> Self {
@@ -98,11 +104,11 @@ impl<'s> Comparison<'s> {
         self
     }
 
-    /// Recycles electrical-solver scratch through the given pool: every
-    /// session draws a warm solver before the run and returns it after, so
-    /// a caller running many comparisons (a sweep worker) reuses the same
-    /// allocations throughout.  Results are unchanged — solvers carry
-    /// scratch, not state.
+    /// Recycles electrical-solver scratch through the given pool: the run
+    /// draws one warm solver for its shared plant before the first step and
+    /// returns it after, so a caller running many comparisons (a sweep
+    /// worker) reuses the same allocations throughout.  Results are
+    /// unchanged — solvers carry scratch, not state.
     #[must_use]
     pub fn solver_pool(mut self, pool: &'s mut SolverPool) -> Self {
         self.solver_pool = Some(pool);
@@ -141,7 +147,7 @@ impl<'s> Comparison<'s> {
     /// Returns [`SimError::InvalidScenario`] when no scheme was added or two
     /// schemes share a name (which would make
     /// [`ComparisonReport::report`] ambiguous), and propagates the first
-    /// error any session produces.
+    /// error any step produces.
     pub fn run(mut self) -> Result<ComparisonReport, SimError> {
         if self.schemes.is_empty() {
             return Err(SimError::InvalidScenario {
@@ -160,61 +166,46 @@ impl<'s> Comparison<'s> {
                 });
             }
         }
-        let policy = self.runtime_policy;
-        let mut pool = self.solver_pool.take();
-        let steps = self.scenario.thermal_trace()?.len();
-        let mut sessions = self
+        let mut plant = Plant::new(self.scenario)?;
+        let mut controllers = self
             .schemes
             .iter_mut()
-            .map(|scheme| {
-                SimSession::new(self.scenario, scheme.as_mut())
-                    .map(|session| session.with_runtime_policy(policy))
-            })
+            .map(|scheme| Controller::new(self.scenario, scheme.as_mut(), self.runtime_policy))
             .collect::<Result<Vec<_>, _>>()?;
-        // Solvers are drawn only once every session exists, and returned
-        // even when a step errors below, so a failing cell never drains its
-        // worker's pool.
+        // The solver is drawn only once every controller exists, and
+        // returned even when a step errors below, so a failing cell never
+        // drains its worker's pool.
+        let mut pool = self.solver_pool.take();
         if let Some(pool) = pool.as_deref_mut() {
-            sessions = sessions
-                .into_iter()
-                .map(|session| session.with_solver(pool.acquire()))
-                .collect();
+            plant.set_solver(pool.acquire());
         }
-        let mut records: Vec<Vec<StepRecord>> =
-            sessions.iter().map(|_| Vec::with_capacity(steps)).collect();
+        let steps = plant.remaining();
+        let mut records: Vec<Vec<StepRecord>> = controllers
+            .iter()
+            .map(|_| Vec::with_capacity(steps))
+            .collect();
 
-        // Lockstep: advance every scheme through the same drive second
-        // before moving to the next, as the paper's shared testbed does.
+        // Lockstep: the plant replays each drive second once — fault events,
+        // sensor view, module terms — and every scheme steps against it
+        // before the next, as the paper's shared testbed does.
         let outcome: Result<(), SimError> = (|| {
-            for _ in 0..steps {
-                for (session, sink) in sessions.iter_mut().zip(records.iter_mut()) {
-                    let record = session.step()?.expect("trace length bounds the loop");
-                    sink.push(record);
+            while let Some(mut step) = plant.advance()? {
+                for (controller, sink) in controllers.iter_mut().zip(records.iter_mut()) {
+                    sink.push(controller.step(&mut step)?);
                 }
             }
             Ok(())
         })();
 
         if let Some(pool) = pool {
-            for session in &mut sessions {
-                pool.release(session.take_solver());
-            }
+            pool.release(plant.take_solver());
         }
         outcome?;
 
-        let reports = sessions
-            .iter_mut()
+        let reports = controllers
+            .into_iter()
             .zip(records)
-            .map(|(session, records)| {
-                let summary = session.summary();
-                SimulationReport::new(
-                    summary.scheme().to_owned(),
-                    records,
-                    self.scenario.step(),
-                    summary.switch_count(),
-                    summary.runtime().clone(),
-                )
-            })
+            .map(|(controller, records)| controller.into_report(records))
             .collect();
         Ok(ComparisonReport { reports })
     }

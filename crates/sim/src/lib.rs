@@ -67,6 +67,7 @@ mod comparison;
 mod csv;
 mod error;
 mod fault;
+mod plant;
 mod record;
 mod report;
 mod scenario;

@@ -10,20 +10,25 @@
 //! [`SimSession::run`], which must assemble a full [`SimulationReport`],
 //! buffers records.
 //!
+//! A step has two halves.  The scheme-independent *plant* (`crate::plant`)
+//! fires the fault plan, corrupts the sensor view and loads the true ΔT
+//! row's module terms into its solver; the per-scheme *controller* pushes
+//! the sensor view into the scheme's window, runs its decisions and solves
+//! its wiring against the loaded terms.  A session is one plant plus one
+//! controller; a [`Comparison`](crate::Comparison) shares one plant among
+//! all of its controllers.
+//!
 //! [`SimulationReport`]: crate::SimulationReport
 
-use std::sync::Arc;
-
-use teg_array::{ArrayPlan, ArraySolver, Configuration, FaultState, SolvedPoint, TegArray};
-use teg_reconfig::{Reconfigurer, RuntimeStats, SensorFaultInjector, TelemetryBuffer};
-use teg_units::{Joules, Seconds, TemperatureDelta};
+use teg_array::{ArraySolver, Configuration, SolvedPoint};
+use teg_reconfig::{Reconfigurer, RuntimeStats, TelemetryBuffer};
+use teg_units::{Joules, Seconds};
 
 use crate::error::SimError;
-use crate::fault::FaultEvent;
+use crate::plant::{Plant, PlantStep};
 use crate::record::StepRecord;
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::thermal_trace::ThermalTrace;
 
 /// How a session accounts the computation time of each scheme decision.
 ///
@@ -58,9 +63,10 @@ impl RuntimePolicy {
 /// A recycling pool of [`ArraySolver`] scratch.
 ///
 /// Sessions draw a warm solver on creation ([`SimSession::with_solver`])
-/// and hand it back when done ([`SimSession::take_solver`]), so a caller
-/// that runs many sessions — a sweep worker executing cell after cell —
-/// reuses the same scratch allocations throughout.  Solvers carry no
+/// and hand it back when done ([`SimSession::take_solver`]); a
+/// [`Comparison`](crate::Comparison) draws one for its whole field.  A
+/// caller that runs many of them — a sweep worker executing cell after
+/// cell — reuses the same scratch allocations throughout.  Solvers carry no
 /// observable state, so pooling never changes results.
 #[derive(Debug, Default)]
 pub struct SolverPool {
@@ -281,6 +287,8 @@ impl SessionSummary {
 /// through a phase accumulator — a 4-second-period scheme really is invoked
 /// every fourth 1-second step.
 ///
+/// [`ThermalTrace`]: crate::ThermalTrace
+///
 /// # Examples
 ///
 /// Streaming a run step by step:
@@ -317,39 +325,9 @@ impl SessionSummary {
 /// # }
 /// ```
 pub struct SimSession<'s> {
-    scenario: &'s Scenario,
-    trace: Arc<ThermalTrace>,
-    scheme: &'s mut dyn Reconfigurer,
+    plant: Plant<'s>,
+    controller: Controller<'s>,
     observers: Vec<&'s mut dyn StepObserver>,
-    buffer: TelemetryBuffer,
-    config: Configuration,
-    runtime_policy: RuntimePolicy,
-    cursor: usize,
-    invocation_phase: f64,
-    runtime: RuntimeStats,
-    switch_count: usize,
-    gross_energy: Joules,
-    net_energy: Joules,
-    delivered_energy: Joules,
-    overhead_energy: Joules,
-    ideal_energy: Joules,
-    // Degradation machinery: the scenario's fault plan replayed against the
-    // electrical fault state and the sensor injector as the cursor advances.
-    fault_events: &'s [FaultEvent],
-    next_fault_event: usize,
-    electrical_faults: FaultState,
-    // The configuration the stuck switch fabric actually realises for the
-    // commanded `config`, cached between steps and invalidated whenever a
-    // fault event fires or the commanded configuration changes.
-    realised_config: Option<Configuration>,
-    // The compiled solve plan for the realised wiring (same cache lifetime
-    // as `realised_config`) and the solver scratch every step reuses.
-    plan: Option<ArrayPlan>,
-    solver: ArraySolver,
-    sensors: SensorFaultInjector,
-    corrupted_row: Vec<f64>,
-    fault_events_fired: usize,
-    faulted_steps: usize,
     finished: bool,
 }
 
@@ -366,7 +344,215 @@ impl<'s> SimSession<'s> {
     /// Propagates [`SimError`] from the thermal solve or the initial
     /// configuration.
     pub fn new(scenario: &'s Scenario, scheme: &'s mut dyn Reconfigurer) -> Result<Self, SimError> {
-        let trace = Arc::clone(scenario.thermal_trace_shared()?);
+        let plant = Plant::new(scenario)?;
+        let controller = Controller::new(scenario, scheme, RuntimePolicy::Measured)?;
+        Ok(Self {
+            plant,
+            controller,
+            observers: Vec::new(),
+            finished: false,
+        })
+    }
+
+    /// Attaches a streaming sink notified on every subsequent step.
+    pub fn attach(&mut self, observer: &'s mut dyn StepObserver) -> &mut Self {
+        self.observers.push(observer);
+        self
+    }
+
+    /// Replaces the runtime-accounting policy (defaults to
+    /// [`RuntimePolicy::Measured`]).  With [`RuntimePolicy::Fixed`] every
+    /// decision is charged the same computation time, which makes the whole
+    /// run — overhead energy, runtime statistics, records — deterministic.
+    #[must_use]
+    pub fn with_runtime_policy(mut self, policy: RuntimePolicy) -> Self {
+        self.controller.runtime_policy = policy;
+        self
+    }
+
+    /// The runtime-accounting policy in force.
+    #[must_use]
+    pub const fn runtime_policy(&self) -> RuntimePolicy {
+        self.controller.runtime_policy
+    }
+
+    /// Seeds the session with a pre-warmed solver so its scratch buffers are
+    /// reused instead of reallocated — sweep workers recycle solvers across
+    /// the cells they execute.  Scratch carries no observable state, so
+    /// seeding never changes results.
+    #[must_use]
+    pub fn with_solver(mut self, solver: ArraySolver) -> Self {
+        self.plant.set_solver(solver);
+        self
+    }
+
+    /// Takes the (now warm) solver back out of the session, leaving a fresh
+    /// one behind — the other half of the recycling handshake.
+    pub fn take_solver(&mut self) -> ArraySolver {
+        self.plant.take_solver()
+    }
+
+    /// The scenario the session replays.
+    #[must_use]
+    pub fn scenario(&self) -> &'s Scenario {
+        self.controller.scenario
+    }
+
+    /// Name of the scheme driving the session.
+    #[must_use]
+    pub fn scheme_name(&self) -> &'static str {
+        self.controller.scheme.name()
+    }
+
+    /// Steps simulated so far.
+    #[must_use]
+    pub const fn position(&self) -> usize {
+        self.plant.position()
+    }
+
+    /// Steps remaining in the drive cycle.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.plant.remaining()
+    }
+
+    /// Advances the simulation by one drive-cycle second.
+    ///
+    /// Returns `Ok(None)` once the cycle is exhausted; the first such call
+    /// notifies every observer's [`StepObserver::on_finish`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] from the array solve or the scheme's
+    /// decision.
+    pub fn step(&mut self) -> Result<Option<StepRecord>, SimError> {
+        let Some(mut plant) = self.plant.advance()? else {
+            if !self.finished {
+                self.finished = true;
+                // The summary owns its scheme name and runtime statistics,
+                // so it is only materialised when someone is listening.
+                if !self.observers.is_empty() {
+                    let summary = self.summary();
+                    for observer in &mut self.observers {
+                        observer.on_finish(&summary);
+                    }
+                }
+            }
+            return Ok(None);
+        };
+        let record = self.controller.step(&mut plant)?;
+        for observer in &mut self.observers {
+            observer.on_step(&record);
+            if record.switched() {
+                observer.on_switch(&record);
+            }
+        }
+        Ok(Some(record))
+    }
+
+    /// The running totals at this point of the session.
+    #[must_use]
+    pub fn summary(&self) -> SessionSummary {
+        let controller = &self.controller;
+        SessionSummary {
+            scheme: controller.scheme.name().to_owned(),
+            steps: self.plant.position(),
+            step: controller.scenario.step(),
+            gross_energy: controller.gross_energy,
+            net_energy: controller.net_energy,
+            delivered_energy: controller.delivered_energy,
+            overhead_energy: controller.overhead_energy,
+            ideal_energy: controller.ideal_energy,
+            switch_count: controller.switch_count,
+            runtime: controller.runtime.clone(),
+            fault_events: self.plant.fault_events_fired(),
+            faulted_steps: self.plant.faulted_steps(),
+        }
+    }
+
+    /// Drives the session to the end of the drive cycle, buffering every
+    /// record, and returns the full [`SimulationReport`].
+    ///
+    /// Only a fresh (never-stepped) session can be run: a report built from
+    /// a tail of the records but whole-session switch counts and runtimes
+    /// would be internally inconsistent.  Streaming callers that must not
+    /// buffer — or that already stepped manually — use [`SimSession::step`]
+    /// (or the [`Iterator`] adapter) plus [`SimSession::summary`] instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidScenario`] when the session has already
+    /// been stepped, and propagates the first [`SimError`] any step
+    /// produces.
+    pub fn run(mut self) -> Result<SimulationReport, SimError> {
+        if self.position() != 0 {
+            return Err(SimError::InvalidScenario {
+                reason: format!(
+                    "SimSession::run needs a fresh session, but {} steps were already \
+                     consumed; keep stepping and read summary() instead",
+                    self.position()
+                ),
+            });
+        }
+        let mut records = Vec::with_capacity(self.remaining());
+        while let Some(record) = self.step()? {
+            records.push(record);
+        }
+        // The session is consumed, so the accumulated statistics move into
+        // the report instead of being cloned.
+        Ok(self.controller.into_report(records))
+    }
+}
+
+impl Iterator for SimSession<'_> {
+    type Item = Result<StepRecord, SimError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.step().transpose()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let remaining = self.remaining();
+        (remaining, Some(remaining))
+    }
+}
+
+/// The per-scheme half of a simulation step: the scheme, its telemetry
+/// window, the commanded wiring and everything the scheme's run books.
+///
+/// A controller steps against a [`PlantStep`] — the drive second the
+/// shared [`Plant`] has already replayed and loaded — so N controllers in
+/// lockstep share one fault replay, one sensor view and one module-term
+/// load per step.
+pub(crate) struct Controller<'s> {
+    scenario: &'s Scenario,
+    scheme: &'s mut dyn Reconfigurer,
+    buffer: TelemetryBuffer,
+    config: Configuration,
+    // The configuration the stuck switch fabric actually realises for the
+    // commanded `config`, cached between steps and invalidated whenever a
+    // fault event fires or the commanded configuration changes.
+    realised_config: Option<Configuration>,
+    runtime_policy: RuntimePolicy,
+    invocation_phase: f64,
+    runtime: RuntimeStats,
+    switch_count: usize,
+    gross_energy: Joules,
+    net_energy: Joules,
+    delivered_energy: Joules,
+    overhead_energy: Joules,
+    ideal_energy: Joules,
+}
+
+impl<'s> Controller<'s> {
+    /// Opens a controller for one scheme under a runtime-accounting policy,
+    /// resetting the scheme and wiring the array as the square grid the
+    /// baseline uses.
+    pub(crate) fn new(
+        scenario: &'s Scenario,
+        scheme: &'s mut dyn Reconfigurer,
+        runtime_policy: RuntimePolicy,
+    ) -> Result<Self, SimError> {
         let module_count = scenario.module_count();
         let initial_groups = (module_count as f64).sqrt().ceil().max(1.0) as usize;
         let config = Configuration::uniform(module_count, initial_groups.min(module_count))?;
@@ -385,17 +571,13 @@ impl<'s> SimSession<'s> {
             });
         }
         scheme.reset();
-        let plan = scenario.fault_plan();
-        let sensors = SensorFaultInjector::new(module_count, plan.sensor_seed())?;
         Ok(Self {
             scenario,
-            trace,
             scheme,
-            observers: Vec::new(),
             buffer,
             config,
-            runtime_policy: RuntimePolicy::Measured,
-            cursor: 0,
+            realised_config: None,
+            runtime_policy,
             // Phase accumulator priming: the first invocation lands on the
             // first step even for periods longer than the step (the
             // controller configures the array at t = 0, then every period).
@@ -407,157 +589,19 @@ impl<'s> SimSession<'s> {
             delivered_energy: Joules::ZERO,
             overhead_energy: Joules::ZERO,
             ideal_energy: Joules::ZERO,
-            fault_events: plan.events(),
-            next_fault_event: 0,
-            electrical_faults: FaultState::healthy(module_count),
-            realised_config: None,
-            plan: None,
-            solver: ArraySolver::new(),
-            sensors,
-            corrupted_row: Vec::new(),
-            fault_events_fired: 0,
-            faulted_steps: 0,
-            finished: false,
         })
     }
 
-    /// Attaches a streaming sink notified on every subsequent step.
-    pub fn attach(&mut self, observer: &'s mut dyn StepObserver) -> &mut Self {
-        self.observers.push(observer);
-        self
-    }
-
-    /// Replaces the runtime-accounting policy (defaults to
-    /// [`RuntimePolicy::Measured`]).  With [`RuntimePolicy::Fixed`] every
-    /// decision is charged the same computation time, which makes the whole
-    /// run — overhead energy, runtime statistics, records — deterministic.
-    #[must_use]
-    pub fn with_runtime_policy(mut self, policy: RuntimePolicy) -> Self {
-        self.runtime_policy = policy;
-        self
-    }
-
-    /// The runtime-accounting policy in force.
-    #[must_use]
-    pub const fn runtime_policy(&self) -> RuntimePolicy {
-        self.runtime_policy
-    }
-
-    /// Seeds the session with a pre-warmed solver so its scratch buffers are
-    /// reused instead of reallocated — sweep workers recycle solvers across
-    /// the cells they execute.  Scratch carries no observable state, so
-    /// seeding never changes results.
-    #[must_use]
-    pub fn with_solver(mut self, solver: ArraySolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Takes the (now warm) solver back out of the session, leaving a fresh
-    /// one behind — the other half of the recycling handshake.
-    pub fn take_solver(&mut self) -> ArraySolver {
-        std::mem::take(&mut self.solver)
-    }
-
-    /// The scenario the session replays.
-    #[must_use]
-    pub fn scenario(&self) -> &'s Scenario {
-        self.scenario
-    }
-
-    /// Name of the scheme driving the session.
-    #[must_use]
-    pub fn scheme_name(&self) -> &'static str {
-        self.scheme.name()
-    }
-
-    /// Steps simulated so far.
-    #[must_use]
-    pub const fn position(&self) -> usize {
-        self.cursor
-    }
-
-    /// Steps remaining in the drive cycle.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.trace.len() - self.cursor
-    }
-
-    /// Advances the simulation by one drive-cycle second.
-    ///
-    /// Returns `Ok(None)` once the cycle is exhausted; the first such call
-    /// notifies every observer's [`StepObserver::on_finish`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the array solve or the scheme's
-    /// decision.
-    pub fn step(&mut self) -> Result<Option<StepRecord>, SimError> {
-        if self.cursor >= self.trace.len() {
-            if !self.finished {
-                self.finished = true;
-                // The summary owns its scheme name and runtime statistics,
-                // so it is only materialised when someone is listening.
-                if !self.observers.is_empty() {
-                    let summary = self.summary();
-                    for observer in &mut self.observers {
-                        observer.on_finish(&summary);
-                    }
-                }
-            }
-            return Ok(None);
-        }
-        let index = self.cursor;
-        self.cursor += 1;
-
-        // Fire every fault-plan event due at (or before) this step, evolving
-        // the electrical fault state and the sensor injector in plan order.
-        let mut fault_events_this_step = 0;
-        while self.next_fault_event < self.fault_events.len()
-            && self.fault_events[self.next_fault_event].step() <= index
-        {
-            self.fault_events[self.next_fault_event]
-                .action()
-                .apply(&mut self.electrical_faults, &mut self.sensors)?;
-            self.next_fault_event += 1;
-            fault_events_this_step += 1;
-        }
-        self.fault_events_fired += fault_events_this_step;
-        if fault_events_this_step > 0 {
+    /// Runs the scheme's decisions due in one drive second and books the
+    /// power the plant delivers through the resulting wiring.
+    pub(crate) fn step(&mut self, plant: &mut PlantStep<'_>) -> Result<StepRecord, SimError> {
+        if plant.fault_events > 0 {
             self.realised_config = None;
-            self.plan = None;
         }
-        let electrical_active = !self.electrical_faults.is_healthy();
-        let any_fault_active = electrical_active || !self.sensors.is_healthy();
-        if any_fault_active {
-            self.faulted_steps += 1;
-        }
-
+        self.buffer.push_row(plant.telemetry)?;
         let scenario = self.scenario;
         let array = scenario.array();
         let step = scenario.step();
-        // A clone of the shared trace handle keeps the borrowed rows
-        // independent of `self`, so the solver helper below can take
-        // `&mut self` while they are alive.
-        let trace = Arc::clone(&self.trace);
-        let row = trace.row(index);
-        let ambient = trace.ambient(index);
-
-        // The scheme observes the telemetry *through* the sensors: faulted
-        // sensors corrupt a scratch copy of the true row before it enters
-        // the buffer.  Physics below always uses the true thermal state.
-        if self.sensors.is_healthy() {
-            self.buffer.push_row(row)?;
-        } else {
-            self.corrupted_row.clear();
-            self.corrupted_row.extend_from_slice(row);
-            self.sensors.corrupt(&mut self.corrupted_row, ambient)?;
-            self.buffer.push_row(&self.corrupted_row)?;
-        }
-        // Scheme-independent per-row quantities come precomputed from the
-        // shared trace, so N lockstep sessions do not redo them N times.
-        let deltas = trace.deltas(index);
-        let ideal = trace.ideal(index);
 
         // Invocation phase accumulator: schemes run every `period`, whether
         // that is shorter or longer than the simulation step.  The epsilon
@@ -578,12 +622,12 @@ impl<'s> SimSession<'s> {
         let mut solved: Option<SolvedPoint> = None;
 
         for _ in 0..invocations {
-            let window = self.buffer.window(array, ambient)?;
+            let window = self.buffer.window(array, plant.ambient)?;
             let decision = self.scheme.decide(&window, &self.config)?;
             // The policy decides whether the measured wall clock or a fixed
             // deterministic charge flows into stats and overhead accounting.
             let computation = self.runtime_policy.charge(decision.computation());
-            if any_fault_active {
+            if plant.any_fault_active {
                 self.runtime.record_faulted(computation);
             } else {
                 self.runtime.record(computation);
@@ -608,7 +652,7 @@ impl<'s> SimSession<'s> {
                 let op = match solved {
                     Some(op) => op,
                     None => {
-                        let op = self.active_mpp(array, deltas, electrical_active)?;
+                        let op = self.active_mpp(plant)?;
                         solved = Some(op);
                         op
                     }
@@ -620,7 +664,6 @@ impl<'s> SimSession<'s> {
                     self.switch_count += 1;
                     self.config = next.expect("a rewiring decision carries its configuration");
                     self.realised_config = None;
-                    self.plan = None;
                     solved = None;
                 }
             }
@@ -631,7 +674,7 @@ impl<'s> SimSession<'s> {
         // shorted or derated) modules.
         let op = match solved {
             Some(op) => op,
-            None => self.active_mpp(array, deltas, electrical_active)?,
+            None => self.active_mpp(plant)?,
         };
         let array_power = op.power();
         let gross = array_power * step;
@@ -643,130 +686,48 @@ impl<'s> SimSession<'s> {
         self.net_energy += net;
         self.delivered_energy += delivered_power * step;
         self.overhead_energy += overhead_energy;
-        self.ideal_energy += ideal * step;
+        self.ideal_energy += plant.ideal * step;
 
-        let record = StepRecord::new(
-            trace.time(index),
+        Ok(StepRecord::new(
+            plant.time,
             array_power,
             net_power,
             delivered_power,
-            ideal,
+            plant.ideal,
             self.config.group_count(),
             switched_this_step,
             overhead_energy,
             computation_total,
         )
-        .with_faults(
-            self.electrical_faults.active_fault_count() + self.sensors.active_fault_count(),
-            fault_events_this_step,
-        );
-        for observer in &mut self.observers {
-            observer.on_step(&record);
-            if switched_this_step {
-                observer.on_switch(&record);
-            }
-        }
-        Ok(Some(record))
+        .with_faults(plant.faults_active, plant.fault_events))
     }
 
-    /// Solves the MPP of the wiring the plant currently realises, through
-    /// the compiled-plan cache: the plan is compiled at most once per
-    /// (configuration, fault state) change and the session's solver scratch
-    /// is reused on every step, so the steady-state solve allocates nothing.
-    fn active_mpp(
-        &mut self,
-        array: &TegArray,
-        deltas: &[TemperatureDelta],
-        electrical_active: bool,
-    ) -> Result<SolvedPoint, SimError> {
-        if self.plan.is_none() {
-            let target = if electrical_active {
+    /// Solves the MPP of the wiring the plant currently realises against the
+    /// plant's loaded module terms; the realised wiring is derived at most
+    /// once per (configuration, fault state) change.
+    fn active_mpp(&mut self, plant: &mut PlantStep<'_>) -> Result<SolvedPoint, SimError> {
+        let target = match plant.electrical_faults {
+            Some(faults) => {
                 if self.realised_config.is_none() {
-                    self.realised_config = Some(
-                        self.electrical_faults
-                            .effective_configuration(&self.config)?,
-                    );
+                    self.realised_config = Some(faults.effective_configuration(&self.config)?);
                 }
                 self.realised_config.as_ref().expect("filled above")
-            } else {
-                &self.config
-            };
-            let faults = electrical_active.then_some(&self.electrical_faults);
-            self.plan = Some(ArrayPlan::compile(array, target, faults)?);
-        }
-        let plan = self.plan.as_ref().expect("filled above");
-        Ok(self.solver.solve_mpp(array, plan, deltas)?)
+            }
+            None => &self.config,
+        };
+        Ok(plant.solver.mpp(target)?)
     }
 
-    /// The running totals at this point of the session.
-    #[must_use]
-    pub fn summary(&self) -> SessionSummary {
-        SessionSummary {
-            scheme: self.scheme.name().to_owned(),
-            steps: self.cursor,
-            step: self.scenario.step(),
-            gross_energy: self.gross_energy,
-            net_energy: self.net_energy,
-            delivered_energy: self.delivered_energy,
-            overhead_energy: self.overhead_energy,
-            ideal_energy: self.ideal_energy,
-            switch_count: self.switch_count,
-            runtime: self.runtime.clone(),
-            fault_events: self.fault_events_fired,
-            faulted_steps: self.faulted_steps,
-        }
-    }
-
-    /// Drives the session to the end of the drive cycle, buffering every
-    /// record, and returns the full [`SimulationReport`].
-    ///
-    /// Only a fresh (never-stepped) session can be run: a report built from
-    /// a tail of the records but whole-session switch counts and runtimes
-    /// would be internally inconsistent.  Streaming callers that must not
-    /// buffer — or that already stepped manually — use [`SimSession::step`]
-    /// (or the [`Iterator`] adapter) plus [`SimSession::summary`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidScenario`] when the session has already
-    /// been stepped, and propagates the first [`SimError`] any step
-    /// produces.
-    pub fn run(mut self) -> Result<SimulationReport, SimError> {
-        if self.cursor != 0 {
-            return Err(SimError::InvalidScenario {
-                reason: format!(
-                    "SimSession::run needs a fresh session, but {} steps were already \
-                     consumed; keep stepping and read summary() instead",
-                    self.cursor
-                ),
-            });
-        }
-        let mut records = Vec::with_capacity(self.remaining());
-        while let Some(record) = self.step()? {
-            records.push(record);
-        }
-        // The session is consumed, so the accumulated statistics move into
-        // the report instead of being cloned.
-        Ok(SimulationReport::new(
+    /// Assembles the scheme's report from its buffered records, moving the
+    /// accumulated runtime statistics out.
+    pub(crate) fn into_report(mut self, records: Vec<StepRecord>) -> SimulationReport {
+        SimulationReport::new(
             self.scheme.name(),
             records,
             self.scenario.step(),
             self.switch_count,
             std::mem::take(&mut self.runtime),
-        ))
-    }
-}
-
-impl Iterator for SimSession<'_> {
-    type Item = Result<StepRecord, SimError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.step().transpose()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.remaining();
-        (remaining, Some(remaining))
+        )
     }
 }
 
@@ -1181,14 +1142,14 @@ mod tests {
         let mut session = SimSession::new(&s, &mut baseline).unwrap();
         while session.step().unwrap().is_some() {}
         // The baseline looks back one row, so the ring holds exactly one.
-        assert_eq!(session.buffer.len(), 1);
-        assert_eq!(session.buffer.capacity(), 1);
+        assert_eq!(session.controller.buffer.len(), 1);
+        assert_eq!(session.controller.buffer.capacity(), 1);
 
         let mut dnor = Dnor::default();
         let lookback = teg_reconfig::Reconfigurer::lookback(&dnor);
         let mut session = SimSession::new(&s, &mut dnor).unwrap();
         while session.step().unwrap().is_some() {}
-        assert_eq!(session.buffer.capacity(), lookback);
-        assert!(session.buffer.len() <= lookback);
+        assert_eq!(session.controller.buffer.capacity(), lookback);
+        assert!(session.controller.buffer.len() <= lookback);
     }
 }
