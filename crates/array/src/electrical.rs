@@ -1,4 +1,4 @@
-//! Electrical solver for a configured TEG array.
+//! The TEG array and the electrical model every solve uses.
 //!
 //! Under a configuration the array is a series string of parallel groups.
 //! Each module is a linear Thévenin source, so a parallel group of modules
@@ -17,108 +17,18 @@
 //! ```
 //!
 //! is the array MPP that the charger's MPPT converges to.
+//!
+//! [`TegArray`] holds the modules; [`ArraySolver`](crate::ArraySolver)
+//! evaluates this model for any wiring of them.
 
 use teg_device::TegModule;
-use teg_units::{Amps, TemperatureDelta, Volts, Watts};
+use teg_units::{Amps, TemperatureDelta};
 
-use crate::configuration::Configuration;
 use crate::error::ArrayError;
 use crate::fault::{FaultState, ModuleFault};
-use crate::solver::{ArraySolver, SolvedPoint};
 
-/// The solved state of one parallel group at a given string current.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupOperatingPoint {
-    voltage: Volts,
-    power: Watts,
-}
-
-impl GroupOperatingPoint {
-    /// Builds a group point — the solve kernel is the only producer.
-    pub(crate) const fn new(voltage: Volts, power: Watts) -> Self {
-        Self { voltage, power }
-    }
-
-    /// Terminal voltage of the group.
-    #[must_use]
-    pub const fn voltage(&self) -> Volts {
-        self.voltage
-    }
-
-    /// Power delivered by the group (negative if the string current drives
-    /// the group above its open-circuit point).
-    #[must_use]
-    pub const fn power(&self) -> Watts {
-        self.power
-    }
-}
-
-/// The solved state of the whole array at a given string current.
-///
-/// # Examples
-///
-/// ```
-/// use teg_array::{Configuration, TegArray};
-/// use teg_device::{TegDatasheet, TegModule};
-/// use teg_units::TemperatureDelta;
-///
-/// # fn main() -> Result<(), teg_array::ArrayError> {
-/// let module = TegModule::from_datasheet(&TegDatasheet::tgm_199_1_4_0_8());
-/// let array = TegArray::uniform(module, 8);
-/// let deltas = vec![TemperatureDelta::new(60.0); 8];
-/// let config = Configuration::uniform(8, 4)?;
-/// let op = array.maximum_power_point(&config, &deltas)?;
-/// assert!(op.voltage().value() > 0.0);
-/// assert!((op.power().value() - (op.voltage() * op.current()).value()).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayOperatingPoint {
-    current: Amps,
-    voltage: Volts,
-    power: Watts,
-    groups: Vec<GroupOperatingPoint>,
-}
-
-impl ArrayOperatingPoint {
-    /// Assembles the legacy owned operating point from a kernel solve.
-    pub(crate) fn from_solver(point: SolvedPoint, groups: &[GroupOperatingPoint]) -> Self {
-        Self {
-            current: point.current(),
-            voltage: point.voltage(),
-            power: point.power(),
-            groups: groups.to_vec(),
-        }
-    }
-
-    /// String current flowing through every group.
-    #[must_use]
-    pub const fn current(&self) -> Amps {
-        self.current
-    }
-
-    /// Total array terminal voltage.
-    #[must_use]
-    pub const fn voltage(&self) -> Volts {
-        self.voltage
-    }
-
-    /// Total delivered power.
-    #[must_use]
-    pub const fn power(&self) -> Watts {
-        self.power
-    }
-
-    /// Per-group operating points in series order.
-    #[must_use]
-    pub fn groups(&self) -> &[GroupOperatingPoint] {
-        &self.groups
-    }
-}
-
-/// A chain of TEG modules plus the electrical solver that evaluates any
-/// configuration of them.
+/// A chain of TEG modules, ordered from the radiator entrance to the exit.
+/// [`ArraySolver`](crate::ArraySolver) solves any configuration of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TegArray {
     modules: Vec<TegModule>,
@@ -187,160 +97,6 @@ impl TegArray {
             .collect())
     }
 
-    /// Solves the array at an imposed string current.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::DimensionMismatch`] if the ΔT vector length does
-    /// not match the module count, or [`ArrayError::InvalidConfiguration`] if
-    /// the configuration covers a different module count.
-    pub fn operate_at(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        current: Amps,
-    ) -> Result<ArrayOperatingPoint, ArrayError> {
-        self.check_config(config)?;
-        self.check_deltas(deltas)?;
-        Ok(self.operate_at_with(config, deltas, current, None))
-    }
-
-    /// Solves the array at an imposed string current with the given
-    /// electrical faults active.
-    ///
-    /// Open-circuit modules drop out of their group's Norton sums; a group
-    /// whose every module is open breaks the series string and the whole
-    /// array collapses to the zero operating point.  A short-circuited
-    /// module pins its group to zero volts (the group still passes the
-    /// string current).  Derated modules contribute a scaled EMF.
-    ///
-    /// Note that `config` is the configuration *realised by the fabric* —
-    /// callers with stuck switch faults resolve the commanded configuration
-    /// through [`FaultState::effective_configuration`] first.
-    ///
-    /// # Errors
-    ///
-    /// The failure modes of [`TegArray::operate_at`], plus
-    /// [`ArrayError::InvalidConfiguration`] when the fault state covers a
-    /// different module count.
-    pub fn operate_at_faulted(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        current: Amps,
-        faults: &FaultState,
-    ) -> Result<ArrayOperatingPoint, ArrayError> {
-        self.check_config(config)?;
-        self.check_deltas(deltas)?;
-        self.check_faults(faults)?;
-        Ok(self.operate_at_with(config, deltas, current, Some(faults)))
-    }
-
-    /// Analytic maximum power point of the array under a configuration.
-    ///
-    /// The optimum string current is clamped at zero: with every module at
-    /// ΔT = 0 the array cannot deliver power.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`TegArray::operate_at`].
-    pub fn maximum_power_point(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-    ) -> Result<ArrayOperatingPoint, ArrayError> {
-        self.check_config(config)?;
-        self.check_deltas(deltas)?;
-        Ok(self.maximum_power_point_with(config, deltas, None))
-    }
-
-    /// Analytic maximum power point with the given electrical faults active
-    /// (same fault semantics as [`TegArray::operate_at_faulted`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`TegArray::operate_at_faulted`].
-    pub fn maximum_power_point_faulted(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        faults: &FaultState,
-    ) -> Result<ArrayOperatingPoint, ArrayError> {
-        self.check_config(config)?;
-        self.check_deltas(deltas)?;
-        self.check_faults(faults)?;
-        Ok(self.maximum_power_point_with(config, deltas, Some(faults)))
-    }
-
-    /// Total array power at the analytic MPP — shorthand used by the
-    /// reconfiguration algorithms' inner loops.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`TegArray::operate_at`].
-    pub fn mpp_power(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-    ) -> Result<Watts, ArrayError> {
-        Ok(self.maximum_power_point(config, deltas)?.power())
-    }
-
-    /// Total array MPP power with the given electrical faults active.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`TegArray::operate_at_faulted`].
-    pub fn mpp_power_faulted(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        faults: &FaultState,
-    ) -> Result<Watts, ArrayError> {
-        Ok(self
-            .maximum_power_point_faulted(config, deltas, faults)?
-            .power())
-    }
-
-    // The `_with` methods are thin wrappers over the shared solve kernel
-    // (`crate::solver`), so the healthy and degraded paths — and the
-    // batched candidate scans the schemes run — are one implementation.
-    // Hot-path callers hold an `ArraySolver` themselves and
-    // skip the per-call scratch these compatibility entry points pay for.
-
-    fn maximum_power_point_with(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        faults: Option<&FaultState>,
-    ) -> ArrayOperatingPoint {
-        let mut solver = ArraySolver::new();
-        solver
-            .load(self, deltas, faults)
-            .expect("dimensions validated by the caller");
-        let point = solver
-            .mpp(config)
-            .expect("configuration validated by the caller");
-        ArrayOperatingPoint::from_solver(point, solver.group_points())
-    }
-
-    fn operate_at_with(
-        &self,
-        config: &Configuration,
-        deltas: &[TemperatureDelta],
-        current: Amps,
-        faults: Option<&FaultState>,
-    ) -> ArrayOperatingPoint {
-        let mut solver = ArraySolver::new();
-        solver
-            .load(self, deltas, faults)
-            .expect("dimensions validated by the caller");
-        let point = solver
-            .operate_at(config, current)
-            .expect("configuration validated by the caller");
-        ArrayOperatingPoint::from_solver(point, solver.group_points())
-    }
-
     /// The effective Thévenin source of one module under an optional fault
     /// state: `None` for an open-circuited module, otherwise its conductance
     /// and (possibly derated) EMF.  Short circuits are a *group*-level
@@ -372,40 +128,18 @@ impl TegArray {
         }
         Ok(())
     }
-
-    fn check_faults(&self, faults: &FaultState) -> Result<(), ArrayError> {
-        if faults.module_count() != self.modules.len() {
-            return Err(ArrayError::InvalidConfiguration {
-                reason: format!(
-                    "fault state covers {} modules but the array has {}",
-                    faults.module_count(),
-                    self.modules.len()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_config(&self, config: &Configuration) -> Result<(), ArrayError> {
-        if config.module_count() != self.modules.len() {
-            return Err(ArrayError::InvalidConfiguration {
-                reason: format!(
-                    "configuration covers {} modules but the array has {}",
-                    config.module_count(),
-                    self.modules.len()
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::configuration::Configuration;
     use crate::ideal::ideal_power;
+    use crate::reference::{self, fault_pattern};
+    use crate::solver::{ArraySolver, SolvedPoint};
     use proptest::prelude::*;
     use teg_device::TegDatasheet;
+    use teg_units::{Volts, Watts};
 
     fn module() -> TegModule {
         TegModule::from_datasheet(&TegDatasheet::tgm_199_1_4_0_8())
@@ -419,6 +153,33 @@ mod tests {
             .collect()
     }
 
+    fn mpp(
+        array: &TegArray,
+        config: &Configuration,
+        deltas: &[TemperatureDelta],
+        faults: Option<&FaultState>,
+    ) -> SolvedPoint {
+        let mut solver = ArraySolver::new();
+        solver.load(array, deltas, faults).unwrap();
+        solver.mpp(config).unwrap()
+    }
+
+    fn operate_at(
+        array: &TegArray,
+        config: &Configuration,
+        deltas: &[TemperatureDelta],
+        faults: Option<&FaultState>,
+        current: Amps,
+    ) -> SolvedPoint {
+        let mut solver = ArraySolver::new();
+        solver.load(array, deltas, faults).unwrap();
+        solver.operate_at(config, current).unwrap()
+    }
+
+    fn mpp_power(array: &TegArray, config: &Configuration, deltas: &[TemperatureDelta]) -> Watts {
+        mpp(array, config, deltas, None).power()
+    }
+
     #[test]
     fn empty_array_is_rejected() {
         assert!(matches!(TegArray::new(vec![]), Err(ArrayError::EmptyArray)));
@@ -427,13 +188,14 @@ mod tests {
     #[test]
     fn dimension_mismatches_are_rejected() {
         let array = TegArray::uniform(module(), 10);
-        let config = Configuration::uniform(10, 2).unwrap();
         let short = vec![TemperatureDelta::new(50.0); 9];
         assert!(array.mpp_currents(&short).is_err());
-        assert!(array.operate_at(&config, &short, Amps::new(0.1)).is_err());
+        let mut solver = ArraySolver::new();
+        assert!(solver.load(&array, &short, None).is_err());
         let wrong_config = Configuration::uniform(12, 2).unwrap();
         let deltas = vec![TemperatureDelta::new(50.0); 10];
-        assert!(array.maximum_power_point(&wrong_config, &deltas).is_err());
+        solver.load(&array, &deltas, None).unwrap();
+        assert!(solver.mpp(&wrong_config).is_err());
     }
 
     #[test]
@@ -447,7 +209,7 @@ mod tests {
         let r = m.internal_resistance(dt).value();
         let array = TegArray::uniform(m, 4);
         let config = Configuration::uniform(4, 2).unwrap();
-        let op = array.maximum_power_point(&config, &[dt; 4]).unwrap();
+        let op = mpp(&array, &config, &[dt; 4], None);
         let expected = (2.0 * voc) * (2.0 * voc) / (4.0 * r);
         assert!((op.power().value() - expected).abs() < 1e-9);
         // The MPP voltage of a symmetric array is half its total Voc.
@@ -460,15 +222,9 @@ mod tests {
         // same maximum power (only the voltage/current split changes).
         let array = TegArray::uniform(module(), 12);
         let deltas = vec![TemperatureDelta::new(55.0); 12];
-        let p1 = array
-            .mpp_power(&Configuration::uniform(12, 1).unwrap(), &deltas)
-            .unwrap();
-        let p3 = array
-            .mpp_power(&Configuration::uniform(12, 3).unwrap(), &deltas)
-            .unwrap();
-        let p12 = array
-            .mpp_power(&Configuration::uniform(12, 12).unwrap(), &deltas)
-            .unwrap();
+        let p1 = mpp_power(&array, &Configuration::uniform(12, 1).unwrap(), &deltas);
+        let p3 = mpp_power(&array, &Configuration::uniform(12, 3).unwrap(), &deltas);
+        let p12 = mpp_power(&array, &Configuration::uniform(12, 12).unwrap(), &deltas);
         assert!((p1.value() - p3.value()).abs() < 1e-9);
         assert!((p3.value() - p12.value()).abs() < 1e-9);
     }
@@ -482,13 +238,9 @@ mod tests {
         let array = TegArray::uniform(module(), 20);
         let deltas = gradient_deltas(20);
         let ideal = ideal_power(array.modules(), &deltas).unwrap();
-        let series = array
-            .mpp_power(&Configuration::all_series(20).unwrap(), &deltas)
-            .unwrap();
+        let series = mpp_power(&array, &Configuration::all_series(20).unwrap(), &deltas);
         assert!(series < ideal);
-        let grouped = array
-            .mpp_power(&Configuration::uniform(20, 5).unwrap(), &deltas)
-            .unwrap();
+        let grouped = mpp_power(&array, &Configuration::uniform(20, 5).unwrap(), &deltas);
         assert!(grouped.value() <= ideal.value() + 1e-9);
     }
 
@@ -499,7 +251,7 @@ mod tests {
         let ideal = ideal_power(array.modules(), &deltas).unwrap();
         for groups in 1..=15 {
             let config = Configuration::uniform(15, groups).unwrap();
-            let p = array.mpp_power(&config, &deltas).unwrap();
+            let p = mpp_power(&array, &config, &deltas);
             assert!(
                 p.value() <= ideal.value() + 1e-9,
                 "{groups} groups exceeded ideal"
@@ -512,11 +264,9 @@ mod tests {
         let array = TegArray::uniform(module(), 10);
         let deltas = gradient_deltas(10);
         let config = Configuration::uniform(10, 5).unwrap();
-        let op = array.maximum_power_point(&config, &deltas).unwrap();
+        let op = mpp(&array, &config, &deltas, None);
         for factor in [0.8_f64, 0.9, 0.95, 1.05, 1.1, 1.2] {
-            let other = array
-                .operate_at(&config, &deltas, op.current() * factor)
-                .unwrap();
+            let other = operate_at(&array, &config, &deltas, None, op.current() * factor);
             assert!(other.power().value() <= op.power().value() + 1e-9);
         }
     }
@@ -526,12 +276,14 @@ mod tests {
         let array = TegArray::uniform(module(), 9);
         let deltas = gradient_deltas(9);
         let config = Configuration::uniform(9, 3).unwrap();
-        let op = array.operate_at(&config, &deltas, Amps::new(0.6)).unwrap();
-        let group_power: f64 = op.groups().iter().map(|g| g.power().value()).sum();
+        let op = operate_at(&array, &config, &deltas, None, Amps::new(0.6));
+        let reference = reference::operate_at(&array, &config, &deltas, None, 0.6);
+        assert_eq!(op.power().value().to_bits(), reference.power.to_bits());
+        let group_power: f64 = reference.group_voltages.iter().map(|v| v * 0.6).sum();
         assert!((group_power - op.power().value()).abs() < 1e-9);
         let vi = (op.voltage() * op.current()).value();
         assert!((vi - op.power().value()).abs() < 1e-9);
-        let group_voltage: f64 = op.groups().iter().map(|g| g.voltage().value()).sum();
+        let group_voltage: f64 = reference.group_voltages.iter().sum();
         assert!((group_voltage - op.voltage().value()).abs() < 1e-9);
     }
 
@@ -540,7 +292,7 @@ mod tests {
         let array = TegArray::uniform(module(), 6);
         let deltas = vec![TemperatureDelta::ZERO; 6];
         let config = Configuration::uniform(6, 3).unwrap();
-        let op = array.maximum_power_point(&config, &deltas).unwrap();
+        let op = mpp(&array, &config, &deltas, None);
         assert_eq!(op.current(), Amps::ZERO);
         assert_eq!(op.power(), Watts::ZERO);
     }
@@ -553,9 +305,7 @@ mod tests {
         assert_eq!(array.len(), 4);
         assert!(!array.is_empty());
         let deltas = vec![TemperatureDelta::new(50.0); 4];
-        let p = array
-            .mpp_power(&Configuration::uniform(4, 2).unwrap(), &deltas)
-            .unwrap();
+        let p = mpp_power(&array, &Configuration::uniform(4, 2).unwrap(), &deltas);
         assert!(p.value() > 0.0);
     }
 
@@ -564,12 +314,12 @@ mod tests {
         let array = TegArray::uniform(module(), 6);
         let deltas = vec![TemperatureDelta::new(60.0); 6];
         let config = Configuration::uniform(6, 2).unwrap();
-        let mut faults = crate::FaultState::healthy(6);
+        let mut faults = FaultState::healthy(6);
         faults
-            .set_module_fault(1, crate::ModuleFault::OpenCircuit)
+            .set_module_fault(1, ModuleFault::OpenCircuit)
             .unwrap();
-        let healthy = array.mpp_power(&config, &deltas).unwrap();
-        let degraded = array.mpp_power_faulted(&config, &deltas, &faults).unwrap();
+        let healthy = mpp_power(&array, &config, &deltas);
+        let degraded = mpp(&array, &config, &deltas, Some(&faults)).power();
         assert!(degraded.value() > 0.0);
         assert!(degraded < healthy);
     }
@@ -579,23 +329,19 @@ mod tests {
         let array = TegArray::uniform(module(), 4);
         let deltas = vec![TemperatureDelta::new(60.0); 4];
         let config = Configuration::uniform(4, 2).unwrap();
-        let mut faults = crate::FaultState::healthy(4);
+        let mut faults = FaultState::healthy(4);
         faults
-            .set_module_fault(0, crate::ModuleFault::OpenCircuit)
+            .set_module_fault(0, ModuleFault::OpenCircuit)
             .unwrap();
         faults
-            .set_module_fault(1, crate::ModuleFault::OpenCircuit)
+            .set_module_fault(1, ModuleFault::OpenCircuit)
             .unwrap();
-        let op = array
-            .maximum_power_point_faulted(&config, &deltas, &faults)
-            .unwrap();
+        let op = mpp(&array, &config, &deltas, Some(&faults));
         assert_eq!(op.power(), Watts::ZERO);
         assert_eq!(op.current(), Amps::ZERO);
         assert_eq!(op.voltage(), Volts::ZERO);
         // The imposed-current solve collapses the same way.
-        let forced = array
-            .operate_at_faulted(&config, &deltas, Amps::new(0.5), &faults)
-            .unwrap();
+        let forced = operate_at(&array, &config, &deltas, Some(&faults), Amps::new(0.5));
         assert_eq!(forced.power(), Watts::ZERO);
     }
 
@@ -604,20 +350,19 @@ mod tests {
         let array = TegArray::uniform(module(), 6);
         let deltas = vec![TemperatureDelta::new(60.0); 6];
         let config = Configuration::uniform(6, 3).unwrap();
-        let mut faults = crate::FaultState::healthy(6);
+        let mut faults = FaultState::healthy(6);
         faults
-            .set_module_fault(2, crate::ModuleFault::ShortCircuit)
+            .set_module_fault(2, ModuleFault::ShortCircuit)
             .unwrap();
-        let op = array
-            .maximum_power_point_faulted(&config, &deltas, &faults)
-            .unwrap();
+        let op = mpp(&array, &config, &deltas, Some(&faults));
+        let reference = reference::mpp(&array, &config, &deltas, Some(&faults));
+        assert_eq!(op.power().value().to_bits(), reference.power.to_bits());
         // Group 1 (modules 2..4) is shorted: zero volts, zero power.
-        assert_eq!(op.groups()[1].voltage(), Volts::ZERO);
-        assert_eq!(op.groups()[1].power(), Watts::ZERO);
+        assert_eq!(reference.group_voltages[1], 0.0);
         // The other two groups still deliver through the short.
         assert!(op.power().value() > 0.0);
         assert!(op.current().value() > 0.0);
-        let healthy = array.mpp_power(&config, &deltas).unwrap();
+        let healthy = mpp_power(&array, &config, &deltas);
         assert!(op.power() < healthy);
     }
 
@@ -626,16 +371,14 @@ mod tests {
         let array = TegArray::uniform(module(), 4);
         let deltas = vec![TemperatureDelta::new(60.0); 4];
         let config = Configuration::uniform(4, 2).unwrap();
-        let mut faults = crate::FaultState::healthy(4);
+        let mut faults = FaultState::healthy(4);
         faults
-            .set_module_fault(0, crate::ModuleFault::ShortCircuit)
+            .set_module_fault(0, ModuleFault::ShortCircuit)
             .unwrap();
         faults
-            .set_module_fault(2, crate::ModuleFault::ShortCircuit)
+            .set_module_fault(2, ModuleFault::ShortCircuit)
             .unwrap();
-        let op = array
-            .maximum_power_point_faulted(&config, &deltas, &faults)
-            .unwrap();
+        let op = mpp(&array, &config, &deltas, Some(&faults));
         assert_eq!(op.power(), Watts::ZERO);
         assert!(op.power().value().is_finite());
     }
@@ -645,17 +388,14 @@ mod tests {
         let array = TegArray::uniform(module(), 5);
         let deltas = gradient_deltas(5);
         let config = Configuration::uniform(5, 5).unwrap();
-        let healthy = array.mpp_power(&config, &deltas).unwrap();
+        let healthy = mpp_power(&array, &config, &deltas);
         let mut previous = healthy.value();
         for factor in [0.8, 0.5, 0.2] {
-            let mut faults = crate::FaultState::healthy(5);
+            let mut faults = FaultState::healthy(5);
             faults
-                .set_module_fault(0, crate::ModuleFault::Derated(factor))
+                .set_module_fault(0, ModuleFault::Derated(factor))
                 .unwrap();
-            let degraded = array
-                .mpp_power_faulted(&config, &deltas, &faults)
-                .unwrap()
-                .value();
+            let degraded = mpp(&array, &config, &deltas, Some(&faults)).power().value();
             assert!(degraded < previous, "factor {factor} must lose more power");
             assert!(degraded > 0.0);
             previous = degraded;
@@ -667,11 +407,9 @@ mod tests {
         let array = TegArray::uniform(module(), 9);
         let deltas = gradient_deltas(9);
         let config = Configuration::uniform(9, 3).unwrap();
-        let faults = crate::FaultState::healthy(9);
-        let plain = array.maximum_power_point(&config, &deltas).unwrap();
-        let faulted = array
-            .maximum_power_point_faulted(&config, &deltas, &faults)
-            .unwrap();
+        let faults = FaultState::healthy(9);
+        let plain = mpp(&array, &config, &deltas, None);
+        let faulted = mpp(&array, &config, &deltas, Some(&faults));
         assert_eq!(plain, faulted);
     }
 
@@ -679,35 +417,10 @@ mod tests {
     fn mismatched_fault_state_is_rejected() {
         let array = TegArray::uniform(module(), 6);
         let deltas = vec![TemperatureDelta::new(50.0); 6];
-        let config = Configuration::uniform(6, 2).unwrap();
-        let faults = crate::FaultState::healthy(5);
-        assert!(array
-            .maximum_power_point_faulted(&config, &deltas, &faults)
+        let faults = FaultState::healthy(5);
+        assert!(ArraySolver::new()
+            .load(&array, &deltas, Some(&faults))
             .is_err());
-        assert!(array
-            .operate_at_faulted(&config, &deltas, Amps::new(0.1), &faults)
-            .is_err());
-    }
-
-    /// Deterministically derives a fault pattern from a bit mask: two bits
-    /// per module select healthy / open / short / derated.
-    fn fault_pattern(n: usize, mask: u64) -> crate::FaultState {
-        let mut faults = crate::FaultState::healthy(n);
-        for i in 0..n {
-            match (mask >> ((2 * i) % 64)) & 0b11 {
-                1 => faults
-                    .set_module_fault(i, crate::ModuleFault::OpenCircuit)
-                    .unwrap(),
-                2 => faults
-                    .set_module_fault(i, crate::ModuleFault::ShortCircuit)
-                    .unwrap(),
-                3 => faults
-                    .set_module_fault(i, crate::ModuleFault::Derated(0.6))
-                    .unwrap(),
-                _ => {}
-            }
-        }
-        faults
     }
 
     proptest! {
@@ -728,7 +441,7 @@ mod tests {
                 .collect();
             let config = Configuration::uniform(n, groups).unwrap();
             let faults = fault_pattern(n, mask);
-            let p = array.mpp_power_faulted(&config, &deltas, &faults).unwrap();
+            let p = mpp(&array, &config, &deltas, Some(&faults)).power();
             let ideal = ideal_power(array.modules(), &deltas).unwrap();
             prop_assert!(p.value().is_finite());
             prop_assert!(p.value() >= 0.0);
@@ -739,7 +452,9 @@ mod tests {
         /// group carries the same string current (the connected modules of a
         /// non-shorted group source exactly the string current between them),
         /// group voltages sum to the terminal voltage, and P = V·I at both
-        /// group and array level.
+        /// group and array level.  The solver reports no per-group detail,
+        /// so the group voltages come from the first-principles reference,
+        /// whose totals the solver matches bit for bit.
         #[test]
         fn prop_faulted_solve_is_kirchhoff_consistent(
             n in 2usize..24,
@@ -756,13 +471,12 @@ mod tests {
                 .collect();
             let config = Configuration::uniform(n, groups).unwrap();
             let faults = fault_pattern(n, mask);
-            let mpp = array
-                .maximum_power_point_faulted(&config, &deltas, &faults)
-                .unwrap();
-            let op = array
-                .operate_at_faulted(&config, &deltas, mpp.current() * frac, &faults)
-                .unwrap();
+            let point = mpp(&array, &config, &deltas, Some(&faults));
+            let op = operate_at(&array, &config, &deltas, Some(&faults), point.current() * frac);
             let current = op.current().value();
+            let reference = reference::operate_at(&array, &config, &deltas, Some(&faults), current);
+            prop_assert_eq!(op.voltage().value().to_bits(), reference.voltage.to_bits());
+            prop_assert_eq!(op.power().value().to_bits(), reference.power.to_bits());
 
             // A group that is fully open (and not shorted) breaks the series
             // string: the solver reports the dead operating point, which is
@@ -770,24 +484,24 @@ mod tests {
             let string_broken = config.groups().any(|group| {
                 let shorted = group
                     .indices()
-                    .any(|i| faults.module_fault(i) == Some(crate::ModuleFault::ShortCircuit));
+                    .any(|i| faults.module_fault(i) == Some(ModuleFault::ShortCircuit));
                 !shorted
                     && group
                         .indices()
-                        .all(|i| faults.module_fault(i) == Some(crate::ModuleFault::OpenCircuit))
+                        .all(|i| faults.module_fault(i) == Some(ModuleFault::OpenCircuit))
             });
             if string_broken {
                 prop_assert_eq!(op.power().value(), 0.0);
                 prop_assert_eq!(op.current().value(), 0.0);
             } else {
                 // Terminal voltage is the series sum of group voltages.
-                let group_voltage: f64 = op.groups().iter().map(|g| g.voltage().value()).sum();
+                let group_voltage: f64 = reference.group_voltages.iter().sum();
                 prop_assert!((group_voltage - op.voltage().value()).abs() < 1e-9);
                 // P = V·I at the array level and summed over the groups.
                 prop_assert!(
                     ((op.voltage() * op.current()).value() - op.power().value()).abs() < 1e-9
                 );
-                let group_power: f64 = op.groups().iter().map(|g| g.power().value()).sum();
+                let group_power: f64 = reference.group_voltages.iter().map(|v| v * current).sum();
                 prop_assert!((group_power - op.power().value()).abs() < 1e-9);
 
                 // Within each non-shorted group the parallel modules share
@@ -795,17 +509,17 @@ mod tests {
                 // i_m = G_m·(E_m − V_g) sum to the string current (KCL at
                 // the group's output node).
                 for (j, group) in config.groups().enumerate() {
+                    let v_g = reference.group_voltages[j];
                     let shorted = group
                         .indices()
-                        .any(|i| faults.module_fault(i) == Some(crate::ModuleFault::ShortCircuit));
+                        .any(|i| faults.module_fault(i) == Some(ModuleFault::ShortCircuit));
                     if shorted {
-                        prop_assert_eq!(op.groups()[j].voltage().value(), 0.0);
+                        prop_assert_eq!(v_g, 0.0);
                         continue;
                     }
-                    let v_g = op.groups()[j].voltage().value();
                     let mut branch_sum = 0.0;
                     for i in group.indices() {
-                        let Some((g, e)) = array.module_source(i, deltas[i], Some(&faults)) else {
+                        let Some((g, e)) = reference::module_source(&array, i, deltas[i], Some(&faults)) else {
                             continue; // open module: zero branch current
                         };
                         branch_sum += g * (e - v_g);
@@ -839,8 +553,8 @@ mod tests {
                 .map(|i| TemperatureDelta::new(base + span * i as f64 / n as f64))
                 .collect();
             let config = Configuration::uniform(n, groups).unwrap();
-            let op = array.maximum_power_point(&config, &deltas).unwrap();
-            let probe = array.operate_at(&config, &deltas, op.current() * frac).unwrap();
+            let op = mpp(&array, &config, &deltas, None);
+            let probe = operate_at(&array, &config, &deltas, None, op.current() * frac);
             prop_assert!(probe.power().value() <= op.power().value() + 1e-6);
         }
 
@@ -858,7 +572,7 @@ mod tests {
                 .map(|i| TemperatureDelta::new(base + span * (i as f64 / n as f64)))
                 .collect();
             let config = Configuration::uniform(n, groups).unwrap();
-            let p = array.mpp_power(&config, &deltas).unwrap();
+            let p = mpp_power(&array, &config, &deltas);
             let ideal = ideal_power(array.modules(), &deltas).unwrap();
             prop_assert!(p.value() <= ideal.value() + 1e-6);
         }

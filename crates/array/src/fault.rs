@@ -20,17 +20,17 @@
 //!
 //! Switch faults act on the *commanded* configuration through
 //! [`FaultState::effective_configuration`]; module faults act on the group
-//! sums inside the solver ([`TegArray::operate_at_faulted`] and friends).
+//! sums inside the solver (pass the state to [`ArraySolver::load`]).
 //! The state is plain data — `Clone + PartialEq`, no interior mutability —
 //! so simulation sessions can evolve it deterministically from a timed
 //! fault plan.
 //!
-//! [`TegArray::operate_at_faulted`]: crate::TegArray::operate_at_faulted
+//! [`ArraySolver::load`]: crate::ArraySolver::load
 //!
 //! # Examples
 //!
 //! ```
-//! use teg_array::{Configuration, FaultState, ModuleFault, SwitchStuck, TegArray};
+//! use teg_array::{ArraySolver, Configuration, FaultState, ModuleFault, SwitchStuck, TegArray};
 //! use teg_device::{TegDatasheet, TegModule};
 //! use teg_units::TemperatureDelta;
 //!
@@ -46,8 +46,11 @@
 //!
 //! let effective = faults.effective_configuration(&config)?;
 //! assert_eq!(effective.group_count(), 3); // the boundary at module 2 is welded shut
-//! let healthy = array.mpp_power(&config, &deltas)?;
-//! let degraded = array.mpp_power_faulted(&effective, &deltas, &faults)?;
+//! let mut solver = ArraySolver::new();
+//! solver.load(&array, &deltas, None)?;
+//! let healthy = solver.mpp(&config)?.power();
+//! solver.load(&array, &deltas, Some(&faults))?;
+//! let degraded = solver.mpp(&effective)?.power();
 //! assert!(degraded < healthy);
 //! # Ok(())
 //! # }

@@ -9,31 +9,26 @@
 //! index of each group's first module, exactly like the `C(g_1, …, g_n)`
 //! notation of Algorithm 1.
 //!
-//! [`TegArray`] owns the modules and solves the electrical network for a
-//! configuration and a string current: within a parallel group all modules
-//! share one voltage and their currents add, while all groups carry the same
-//! string current.  Because every module is a linear Thévenin source, each
-//! group reduces to a Norton/Thévenin equivalent and the whole array's power
-//! is a concave parabola in the string current, so the array MPP has a closed
-//! form that the charger's MPPT then tracks.
+//! [`TegArray`] owns the modules and [`ArraySolver`] solves the electrical
+//! network for a configuration and a string current: within a parallel
+//! group all modules share one voltage and their currents add, while all
+//! groups carry the same string current.  Because every module is a linear
+//! Thévenin source, each group reduces to a Norton/Thévenin equivalent and
+//! the whole array's power is a concave parabola in the string current, so
+//! the array MPP has a closed form that the charger's MPPT then tracks.
+//! The solver loads one ΔT vector's module terms (+ faults) once and solves
+//! any number of wirings or currents against them with reusable scratch and
+//! zero per-call allocation (see the [`solver`-module docs](ArraySolver)).
 //!
 //! [`SwitchingOverheadModel`] reproduces the paper's Section III-C accounting:
 //! every reconfiguration costs a dead time (sensing + computation +
 //! reconfiguration + MPPT settling) during which output power is lost, plus a
 //! per-toggle switch actuation energy.
 //!
-//! Hot loops — the reconfiguration algorithms' candidate scans, the
-//! simulation session's per-step physics, MPPT perturbation — go through
-//! [`ArraySolver`] instead of the convenience methods: it loads one ΔT
-//! vector's module terms (+ faults) once and solves any number of wirings
-//! or currents against them with reusable scratch and zero per-call
-//! allocation, bit-identically to the [`TegArray`] methods (see the
-//! [`solver`-module docs](ArraySolver)).
-//!
 //! # Examples
 //!
 //! ```
-//! use teg_array::{Configuration, TegArray};
+//! use teg_array::{ArraySolver, Configuration, TegArray};
 //! use teg_device::{TegDatasheet, TegModule};
 //! use teg_units::TemperatureDelta;
 //!
@@ -42,7 +37,9 @@
 //! let array = TegArray::uniform(module, 10);
 //! let deltas: Vec<_> = (0..10).map(|i| TemperatureDelta::new(40.0 + 3.0 * i as f64)).collect();
 //! let config = Configuration::uniform(10, 5)?;
-//! let op = array.maximum_power_point(&config, &deltas)?;
+//! let mut solver = ArraySolver::new();
+//! solver.load(&array, &deltas, None)?;
+//! let op = solver.mpp(&config)?;
 //! assert!(op.power().value() > 0.0);
 //! # Ok(())
 //! # }
@@ -57,14 +54,16 @@ mod error;
 mod fault;
 mod ideal;
 mod overhead;
+#[cfg(test)]
+mod reference;
 mod solver;
 mod switches;
 
 pub use configuration::{Configuration, Group};
-pub use electrical::{ArrayOperatingPoint, GroupOperatingPoint, TegArray};
+pub use electrical::TegArray;
 pub use error::ArrayError;
 pub use fault::{FaultState, ModuleFault, SwitchStuck};
 pub use ideal::ideal_power;
 pub use overhead::{OverheadBreakdown, SwitchingOverheadModel};
-pub use solver::{mpp_power_from_group_sums, ArraySolver, GroupSumMemo, SolvedPoint};
+pub use solver::{mpp_power_from_group_sums, ArraySolver, SolvedPoint};
 pub use switches::{PairLink, SwitchBank};

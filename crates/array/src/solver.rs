@@ -1,33 +1,32 @@
-//! The reusable, batched electrical solver.
+//! The electrical solver: the one way to solve a wired array.
 //!
 //! The reconfiguration algorithms are candidate scans: INOR/EHTR evaluate
 //! every feasible group count and DNOR additionally integrates predicted
-//! power over a forecast horizon.  Routing each candidate through
-//! [`TegArray::mpp_power`] re-validates the configuration, re-walks the
-//! module list and re-derives every module's Seebeck EMF and internal
-//! conductance from scratch — twice (once for the optimum current, once for
-//! the operating point).  [`ArraySolver`] splits that work by how often it
-//! changes: caller-owned scratch buffers plus the one solve kernel, so that
-//! after the buffers warm up every solve is allocation-free.
-//! [`ArraySolver::load`] derives the per-module EMF/conductance terms for
-//! one ΔT vector (and optional [`FaultState`]) **once**; every later solve
-//! only accumulates its configuration's group sums against them.
+//! power over a forecast horizon.  [`ArraySolver`] splits the work of a
+//! solve by how often it changes: caller-owned scratch buffers plus one
+//! solve kernel, so that after the buffers warm up every solve is
+//! allocation-free.  [`ArraySolver::load`] derives the per-module
+//! EMF/conductance terms for one ΔT vector (and optional [`FaultState`])
+//! **once**; every later solve only accumulates its configuration's group
+//! sums against them and evaluates the closed form of the
+//! [`TegArray`] model.
 //!
-//! The kernel performs the same IEEE-754 operations in the same order as
-//! the original per-call path, so results are **bit-identical** — the
-//! golden traces and the property suite below pin this down.
+//! Group sums run in module order, so every solve of one partition at one
+//! ΔT vector produces the same bits whichever entry point asks for it — the
+//! golden traces and the property suite below pin this down against an
+//! independent first-principles reference.
 //!
 //! # When to use which API
 //!
 //! * Scanning many candidate partitions at one ΔT vector (a reconfiguration
-//!   inner loop): [`ArraySolver::load`] + [`ArraySolver::evaluate_candidates`]
-//!   (or per-candidate [`ArraySolver::mpp_power`]).
+//!   inner loop): [`ArraySolver::load`] + [`ArraySolver::evaluate_candidates`].
 //! * Solving several wirings, or one wiring at many currents, at one ΔT
 //!   vector (a simulation step shared by every scheme of a lockstep field,
-//!   an MPPT loop): [`ArraySolver::load`] once, then [`ArraySolver::mpp`] /
-//!   [`ArraySolver::operate_at`] per wiring or current.
-//! * One-off solves where convenience beats throughput: the original
-//!   [`TegArray`] methods, which are now thin wrappers over this kernel.
+//!   an MPPT loop, a one-off solve): [`ArraySolver::load`] once, then
+//!   [`ArraySolver::mpp`] / [`ArraySolver::operate_at`] per wiring or
+//!   current.
+//! * Group sums accumulated by the caller (INOR's fused scan):
+//!   [`mpp_power_from_group_sums`].
 //!
 //! # Examples
 //!
@@ -60,20 +59,15 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use teg_units::{Amps, TemperatureDelta, Volts, Watts};
 
 use crate::configuration::Configuration;
-use crate::electrical::{GroupOperatingPoint, TegArray};
+use crate::electrical::TegArray;
 use crate::error::ArrayError;
 use crate::fault::{FaultState, ModuleFault};
 
 /// The solved array state one kernel invocation produces: string current,
-/// terminal voltage and delivered power.  Per-group detail stays in the
-/// solver's scratch ([`ArraySolver::group_points`]) so the summary is
-/// `Copy` and allocation-free.
+/// terminal voltage and delivered power.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolvedPoint {
     current: Amps,
@@ -101,97 +95,16 @@ impl SolvedPoint {
     }
 }
 
-/// Every `load` stamps the solver with a fresh value from this
-/// process-wide counter, so a [`GroupSumMemo`] can tell "same terms" apart
-/// from "anything changed" — even across distinct
-/// solver instances sharing one memo.
-static LOAD_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn next_generation() -> u64 {
-    LOAD_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
-
-/// An old/new incremental table for search-style candidate scans: memoised
-/// per-range group sums `(S_g, G_g, shorted)` keyed by the half-open module
-/// range `(start, end)`.
-///
-/// Population-based searches (the ACO scheme) evaluate many partitions that
-/// differ from the incumbent in only a few boundaries, so most of their
-/// group ranges repeat across ants and generations.  The per-candidate MPP
-/// cost is dominated by the O(modules) range accumulation;
-/// [`ArraySolver::evaluate_candidates_with_memo`] reuses a cached sum for
-/// every range it has already accumulated under the current load generation
-/// and falls back to the range kernel on a miss — cached or not, the value
-/// is produced by the same function, so results are **bit-identical** to
-/// [`ArraySolver::evaluate_candidates`].
-///
-/// The memo self-invalidates: [`ArraySolver::load`] stamps the solver with
-/// a fresh generation, and a memo whose generation disagrees is cleared
-/// before use.
-/// Stale reuse is therefore impossible, even when one memo is passed
-/// between different solvers.
-#[derive(Debug, Clone, Default)]
-pub struct GroupSumMemo {
-    generation: u64,
-    entries: HashMap<(usize, usize), (f64, f64, bool)>,
-    hits: u64,
-    computed: u64,
-}
-
-impl GroupSumMemo {
-    /// Creates an empty memo; it binds to a solver's loaded terms on first
-    /// use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Range lookups served from the table since construction (cumulative
-    /// across invalidations).
-    #[must_use]
-    pub const fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Range sums computed and inserted since construction (cumulative
-    /// across invalidations).
-    #[must_use]
-    pub const fn computed(&self) -> u64 {
-        self.computed
-    }
-
-    /// Number of distinct ranges currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table currently caches nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drops all cached ranges (the statistics counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.generation = 0;
-    }
-}
-
 /// The reusable electrical solve kernel with caller-owned scratch.
 ///
 /// All buffers grow to the largest array solved and are then recycled:
 /// after warm-up no method allocates.  A solver is cheap to create and
 /// carries no observable state — only scratch — so cloning or defaulting
-/// one anywhere is always correct.  Group sums run in module order with the
-/// reference rounding, matching the legacy per-call path bit for bit.
+/// one anywhere is always correct.  Group sums run in module order.
 #[derive(Debug, Clone, Default)]
 pub struct ArraySolver {
     // Per-module terms of the loaded ΔT vector (zero while nothing loaded).
     loaded_modules: usize,
-    // Stamp of the currently loaded terms; see `LOAD_GENERATION`.
-    load_generation: u64,
     g: Vec<f64>,
     ge: Vec<f64>,
     connected: Vec<bool>,
@@ -200,8 +113,6 @@ pub struct ArraySolver {
     group_s: Vec<f64>,
     group_g: Vec<f64>,
     group_shorted: Vec<bool>,
-    // Per-group operating points of the most recent full solve.
-    groups: Vec<GroupOperatingPoint>,
 }
 
 impl ArraySolver {
@@ -213,8 +124,8 @@ impl ArraySolver {
 
     /// Derives the per-module EMF/conductance terms for one ΔT vector and
     /// optional fault state, to be shared by every subsequent candidate
-    /// evaluation ([`ArraySolver::mpp`], [`ArraySolver::mpp_power`],
-    /// [`ArraySolver::operate_at`], [`ArraySolver::evaluate_candidates`]).
+    /// evaluation ([`ArraySolver::mpp`], [`ArraySolver::operate_at`],
+    /// [`ArraySolver::evaluate_candidates`]).
     ///
     /// # Errors
     ///
@@ -263,7 +174,6 @@ impl ArraySolver {
     }
 
     fn reset_terms(&mut self, n: usize) {
-        self.load_generation = next_generation();
         self.loaded_modules = n;
         self.g.clear();
         self.g.resize(n, 0.0);
@@ -276,8 +186,17 @@ impl ArraySolver {
     }
 
     /// Analytic maximum power point of one candidate against the loaded
-    /// terms (see [`TegArray::maximum_power_point`] for the electrical
-    /// semantics; results are bit-identical).
+    /// terms.
+    ///
+    /// The optimum string current is clamped at zero: with every module at
+    /// ΔT = 0 the array cannot deliver power.  Open-circuit modules drop
+    /// out of their group's Norton sums; a group whose every module is open
+    /// breaks the series string and the whole array collapses to the zero
+    /// operating point.  A short-circuited module pins its group to zero
+    /// volts (the group still passes the string current).  Derated modules
+    /// contribute a scaled EMF.  Callers with stuck switch faults pass the
+    /// configuration the fabric realises
+    /// ([`FaultState::effective_configuration`]).
     ///
     /// # Errors
     ///
@@ -291,24 +210,15 @@ impl ArraySolver {
     /// [`ArraySolver::mpp`] for a candidate that has already passed
     /// [`ArraySolver::check_candidate`] — the infallible inner scan.
     fn mpp_validated(&mut self, candidate: &Configuration) -> SolvedPoint {
-        let n = candidate.group_count();
         if !self.accumulate_groups(candidate.group_starts(), self.loaded_modules) {
-            return self.zero_point(n);
+            return ZERO_POINT;
         }
-        self.mpp_from_groups(n)
-    }
-
-    /// Total MPP power of one candidate against the loaded terms.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ArraySolver::mpp`].
-    pub fn mpp_power(&mut self, candidate: &Configuration) -> Result<Watts, ArrayError> {
-        Ok(self.mpp(candidate)?.power())
+        let current = optimum_current(&self.group_s, &self.group_g, |j| self.group_shorted[j]);
+        self.operate_from_groups(current)
     }
 
     /// Solves one candidate at an imposed string current against the loaded
-    /// terms (see [`TegArray::operate_at`]; results are bit-identical).
+    /// terms, with the fault semantics of [`ArraySolver::mpp`].
     ///
     /// # Errors
     ///
@@ -319,11 +229,10 @@ impl ArraySolver {
         current: Amps,
     ) -> Result<SolvedPoint, ArrayError> {
         self.check_candidate(candidate)?;
-        let n = candidate.group_count();
         if !self.accumulate_groups(candidate.group_starts(), self.loaded_modules) {
-            return Ok(self.zero_point(n));
+            return Ok(ZERO_POINT);
         }
-        Ok(self.operate_from_groups(n, current))
+        Ok(self.operate_from_groups(current))
     }
 
     /// Evaluates the MPP power of every candidate against the loaded terms,
@@ -352,58 +261,6 @@ impl ArraySolver {
             out.push(point.power());
         }
         Ok(())
-    }
-
-    /// [`ArraySolver::evaluate_candidates`] with an old/new incremental
-    /// table: per-range group sums already accumulated under the current
-    /// load generation are reused instead of re-summed, so candidates that
-    /// share ranges with earlier ones (a search population mutating a few
-    /// boundaries of an incumbent) cost O(groups) hash lookups instead of
-    /// O(modules) arithmetic.  Results are bit-identical to the unmemoised
-    /// scan — the cached value is whatever the range kernel produced on
-    /// first sight.
-    ///
-    /// A memo bound to different loaded terms is cleared automatically before use; pass the same memo across calls
-    /// between two `load`s to accumulate reuse.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ArraySolver::evaluate_candidates`]: every
-    /// candidate is validated up front and `out` is never partially filled.
-    pub fn evaluate_candidates_with_memo(
-        &mut self,
-        candidates: &[Configuration],
-        memo: &mut GroupSumMemo,
-        out: &mut Vec<Watts>,
-    ) -> Result<(), ArrayError> {
-        for candidate in candidates {
-            self.check_candidate(candidate)?;
-        }
-        if memo.generation != self.load_generation {
-            memo.entries.clear();
-            memo.generation = self.load_generation;
-        }
-        out.clear();
-        out.reserve(candidates.len());
-        for candidate in candidates {
-            let n = candidate.group_count();
-            let point =
-                if self.accumulate_groups_memo(candidate.group_starts(), self.loaded_modules, memo)
-                {
-                    self.mpp_from_groups(n)
-                } else {
-                    self.zero_point(n)
-                };
-            out.push(point.power());
-        }
-        Ok(())
-    }
-
-    /// Per-group operating points of the most recent full solve, in series
-    /// order (valid until the next solver call).
-    #[must_use]
-    pub fn group_points(&self) -> &[GroupOperatingPoint] {
-        &self.groups
     }
 
     fn check_candidate(&self, candidate: &Configuration) -> Result<(), ArrayError> {
@@ -446,45 +303,7 @@ impl ArraySolver {
         !broken
     }
 
-    /// [`ArraySolver::accumulate_groups`] through a [`GroupSumMemo`]: each
-    /// range sum is looked up first and computed only on a miss, so repeated ranges across a candidate
-    /// population are accumulated exactly once.
-    fn accumulate_groups_memo(
-        &mut self,
-        starts: &[usize],
-        module_count: usize,
-        memo: &mut GroupSumMemo,
-    ) -> bool {
-        let n = starts.len();
-        self.group_s.clear();
-        self.group_g.clear();
-        self.group_shorted.clear();
-        let mut broken = false;
-        for j in 0..n {
-            let start = starts[j];
-            let end = starts.get(j + 1).copied().unwrap_or(module_count);
-            let (s_g, g_g, shorted) = match memo.entries.get(&(start, end)) {
-                Some(&sums) => {
-                    memo.hits += 1;
-                    sums
-                }
-                None => {
-                    let sums = self.sum_range(start, end);
-                    memo.computed += 1;
-                    memo.entries.insert((start, end), sums);
-                    sums
-                }
-            };
-            broken |= g_g <= 0.0 && !shorted;
-            self.group_s.push(s_g);
-            self.group_g.push(g_g);
-            self.group_shorted.push(shorted);
-        }
-        !broken
-    }
-
-    /// Sums the loaded terms over `start..end` in module order — the same
-    /// order (and therefore the same rounding) as the legacy per-call path.
+    /// Sums the loaded terms over `start..end` in module order.
     fn sum_range(&self, start: usize, end: usize) -> (f64, f64, bool) {
         let mut s_g = 0.0;
         let mut g_g = 0.0;
@@ -500,29 +319,17 @@ impl ArraySolver {
         (s_g, g_g, shorted)
     }
 
-    /// Derives the optimum string current from the accumulated group sums
-    /// and solves the operating point there.
-    fn mpp_from_groups(&mut self, n: usize) -> SolvedPoint {
-        let shorted = &self.group_shorted;
-        let current = optimum_current(&self.group_s[..n], &self.group_g[..n], |j| shorted[j]);
-        self.operate_from_groups(n, current)
-    }
-
     /// Solves the operating point at an imposed current from the
     /// accumulated group sums.
-    fn operate_from_groups(&mut self, n: usize, current: Amps) -> SolvedPoint {
-        self.groups.clear();
+    fn operate_from_groups(&self, current: Amps) -> SolvedPoint {
         let mut total_voltage = Volts::ZERO;
-        for j in 0..n {
-            let voltage = group_voltage(
-                self.group_s[j],
-                self.group_g[j],
-                self.group_shorted[j],
-                current,
-            );
-            let power = voltage * current;
-            total_voltage += voltage;
-            self.groups.push(GroupOperatingPoint::new(voltage, power));
+        for ((&s_g, &g_g), &shorted) in self
+            .group_s
+            .iter()
+            .zip(&self.group_g)
+            .zip(&self.group_shorted)
+        {
+            total_voltage += group_voltage(s_g, g_g, shorted, current);
         }
         SolvedPoint {
             current,
@@ -530,27 +337,22 @@ impl ArraySolver {
             power: total_voltage * current,
         }
     }
-
-    /// The dead operating point of a string broken by an all-open group.
-    fn zero_point(&mut self, n: usize) -> SolvedPoint {
-        self.groups.clear();
-        self.groups
-            .resize(n, GroupOperatingPoint::new(Volts::ZERO, Watts::ZERO));
-        SolvedPoint {
-            current: Amps::ZERO,
-            voltage: Volts::ZERO,
-            power: Watts::ZERO,
-        }
-    }
 }
+
+/// The dead operating point of a string broken by an all-open group.
+const ZERO_POINT: SolvedPoint = SolvedPoint {
+    current: Amps::ZERO,
+    voltage: Volts::ZERO,
+    power: Watts::ZERO,
+};
 
 /// Total MPP power of a fault-free series string, from each group's Norton
 /// sums `S_g = Σ G·E` and `G_g = Σ G` (every `G_g > 0`).
 ///
 /// This is the closed form every [`ArraySolver`] MPP solve ends in, so a
 /// caller that accumulates the sums itself — in module order, from
-/// `G = 1 / R_teg` and `G·E` — gets exactly the bits
-/// [`ArraySolver::mpp_power`] returns for that partition without loading
+/// `G = 1 / R_teg` and `G·E` — gets exactly the power bits
+/// [`ArraySolver::mpp`] returns for that partition without loading
 /// per-module terms or building a [`Configuration`].
 ///
 /// # Panics
@@ -607,6 +409,7 @@ fn group_voltage(s_g: f64, g_g: f64, shorted: bool, current: Amps) -> Volts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{self, fault_pattern};
     use proptest::prelude::*;
     use teg_device::{TegDatasheet, TegModule};
 
@@ -620,28 +423,6 @@ mod tests {
             .collect()
     }
 
-    /// Deterministically derives a fault pattern from a bit mask: two bits
-    /// per module select healthy / open / short / derated (the same scheme
-    /// the electrical proptests use).
-    fn fault_pattern(n: usize, mask: u64) -> FaultState {
-        let mut faults = FaultState::healthy(n);
-        for i in 0..n {
-            match (mask >> ((2 * i) % 64)) & 0b11 {
-                1 => faults
-                    .set_module_fault(i, ModuleFault::OpenCircuit)
-                    .unwrap(),
-                2 => faults
-                    .set_module_fault(i, ModuleFault::ShortCircuit)
-                    .unwrap(),
-                3 => faults
-                    .set_module_fault(i, ModuleFault::Derated(0.6))
-                    .unwrap(),
-                _ => {}
-            }
-        }
-        faults
-    }
-
     /// Derives an arbitrary (but always valid) partition from a bit mask:
     /// bit `i − 1` set ⇒ a group boundary before module `i`.
     fn partition_from_mask(n: usize, mask: u64) -> Configuration {
@@ -652,6 +433,14 @@ mod tests {
             }
         }
         Configuration::new(starts, n).expect("mask-derived starts are strictly increasing")
+    }
+
+    /// `point` equals the reference point in every bit of its current,
+    /// voltage and power.
+    fn bits_match(point: SolvedPoint, reference: &reference::ReferencePoint) -> bool {
+        point.current().value().to_bits() == reference.current.to_bits()
+            && point.voltage().value().to_bits() == reference.voltage.to_bits()
+            && point.power().value().to_bits() == reference.power.to_bits()
     }
 
     #[test]
@@ -672,25 +461,23 @@ mod tests {
     }
 
     #[test]
-    fn loaded_solves_match_the_legacy_methods_bitwise() {
+    fn loaded_solves_match_the_reference_bitwise() {
         let array = TegArray::uniform(module(), 9);
         let deltas = gradient_deltas(9, 35.0, 30.0);
         let config = Configuration::new(vec![0, 2, 5], 9).unwrap();
         let mut solver = ArraySolver::new();
         solver.load(&array, &deltas, None).unwrap();
 
-        let legacy = array.maximum_power_point(&config, &deltas).unwrap();
         let point = solver.mpp(&config).unwrap();
-        assert_eq!(point.current(), legacy.current());
-        assert_eq!(point.voltage(), legacy.voltage());
-        assert_eq!(point.power(), legacy.power());
-        assert_eq!(solver.group_points(), legacy.groups());
-
-        let legacy = array.operate_at(&config, &deltas, Amps::new(0.42)).unwrap();
+        assert!(bits_match(
+            point,
+            &reference::mpp(&array, &config, &deltas, None)
+        ));
         let point = solver.operate_at(&config, Amps::new(0.42)).unwrap();
-        assert_eq!(point.voltage(), legacy.voltage());
-        assert_eq!(point.power(), legacy.power());
-        assert_eq!(solver.group_points(), legacy.groups());
+        assert!(bits_match(
+            point,
+            &reference::operate_at(&array, &config, &deltas, None, 0.42)
+        ));
     }
 
     #[test]
@@ -727,7 +514,8 @@ mod tests {
             .unwrap();
         assert_eq!(powers.len(), candidates.len());
         for (candidate, power) in candidates.iter().zip(&powers) {
-            assert_eq!(*power, array.mpp_power(candidate, &deltas).unwrap());
+            let expected = reference::mpp(&array, candidate, &deltas, None).power;
+            assert_eq!(power.value().to_bits(), expected.to_bits());
         }
         // The output buffer is cleared on reuse, not appended to.
         solver
@@ -781,20 +569,21 @@ mod tests {
             let deltas = gradient_deltas(n, 45.0, 15.0);
             let config = Configuration::uniform(n, (n / 2).max(1)).unwrap();
             solver.load(&array, &deltas, None).unwrap();
-            let power = solver.mpp_power(&config).unwrap();
-            assert_eq!(power, array.mpp_power(&config, &deltas).unwrap());
-            assert_eq!(solver.group_points().len(), config.group_count());
+            let point = solver.mpp(&config).unwrap();
+            assert!(bits_match(
+                point,
+                &reference::mpp(&array, &config, &deltas, None)
+            ));
         }
     }
 
     proptest! {
-        /// The batched candidate API is exactly — bit for bit — the legacy
-        /// per-candidate `mpp_power` / `mpp_power_faulted`, for arbitrary
-        /// partitions, ΔT vectors and fault masks.  This is the contract
-        /// that lets the schemes and the session switch to the kernel
-        /// without re-blessing any golden trace.
+        /// The batched candidate scan returns, bit for bit, the first-principles
+        /// reference MPP power of every candidate and the solver's own
+        /// per-candidate `mpp`, for arbitrary partitions, ΔT vectors and
+        /// fault masks, healthy and faulted.
         #[test]
-        fn prop_batch_equals_legacy_per_candidate(
+        fn prop_batch_equals_reference_per_candidate(
             n in 2usize..24,
             base in 0.0_f64..80.0,
             span in -30.0_f64..50.0,
@@ -815,21 +604,15 @@ mod tests {
 
             let mut solver = ArraySolver::new();
             let mut powers = Vec::new();
-
-            // Healthy: batch ≡ per-candidate mpp_power.
-            solver.load(&array, &deltas, None).unwrap();
-            solver.evaluate_candidates(&candidates, &mut powers).unwrap();
-            for (candidate, power) in candidates.iter().zip(&powers) {
-                let legacy = array.mpp_power(candidate, &deltas).unwrap();
-                prop_assert_eq!(power.value().to_bits(), legacy.value().to_bits());
-            }
-
-            // Faulted: batch ≡ per-candidate mpp_power_faulted.
-            solver.load(&array, &deltas, Some(&faults)).unwrap();
-            solver.evaluate_candidates(&candidates, &mut powers).unwrap();
-            for (candidate, power) in candidates.iter().zip(&powers) {
-                let legacy = array.mpp_power_faulted(candidate, &deltas, &faults).unwrap();
-                prop_assert_eq!(power.value().to_bits(), legacy.value().to_bits());
+            for active in [None, Some(&faults)] {
+                solver.load(&array, &deltas, active).unwrap();
+                solver.evaluate_candidates(&candidates, &mut powers).unwrap();
+                for (candidate, power) in candidates.iter().zip(&powers) {
+                    let expected = reference::mpp(&array, candidate, &deltas, active).power;
+                    prop_assert_eq!(power.value().to_bits(), expected.to_bits());
+                    let single = solver.mpp(candidate).unwrap().power();
+                    prop_assert_eq!(power.value().to_bits(), single.value().to_bits());
+                }
             }
         }
 
@@ -847,7 +630,7 @@ mod tests {
             let config = partition_from_mask(n, partition_seed);
             let mut solver = ArraySolver::new();
             solver.load(&array, &deltas, None).unwrap();
-            let expected = solver.mpp_power(&config).unwrap();
+            let expected = solver.mpp(&config).unwrap().power();
             let (mut group_s, mut group_g) = (Vec::new(), Vec::new());
             for group in config.groups() {
                 let (mut s_g, mut g_g) = (0.0, 0.0);
@@ -864,10 +647,11 @@ mod tests {
         }
 
         /// Terms loaded once per ΔT vector and solved per wiring match the
-        /// legacy whole-operating-point methods bitwise, healthy and
-        /// faulted, at the MPP and at arbitrary imposed currents.
+        /// first-principles reference in every bit of current, voltage and
+        /// power, healthy and faulted, at the MPP and at arbitrary imposed
+        /// currents.
         #[test]
-        fn prop_loaded_solver_matches_legacy_operating_points(
+        fn prop_loaded_solver_matches_reference_operating_points(
             n in 2usize..20,
             base in 0.0_f64..80.0,
             span in -30.0_f64..50.0,
@@ -883,127 +667,15 @@ mod tests {
 
             for active in [None, Some(&faults)] {
                 solver.load(&array, &deltas, active).unwrap();
-                let legacy_mpp = match active {
-                    None => array.maximum_power_point(&config, &deltas).unwrap(),
-                    Some(f) => array
-                        .maximum_power_point_faulted(&config, &deltas, f)
-                        .unwrap(),
-                };
+                let expected = reference::mpp(&array, &config, &deltas, active);
                 let point = solver.mpp(&config).unwrap();
-                prop_assert_eq!(point.current(), legacy_mpp.current());
-                prop_assert_eq!(point.voltage(), legacy_mpp.voltage());
-                prop_assert_eq!(point.power().value().to_bits(), legacy_mpp.power().value().to_bits());
-                prop_assert_eq!(solver.group_points(), legacy_mpp.groups());
+                prop_assert!(bits_match(point, &expected), "mpp {:?} vs {:?}", point, expected);
 
-                let probe = legacy_mpp.current() * frac;
-                let legacy_at = match active {
-                    None => array.operate_at(&config, &deltas, probe).unwrap(),
-                    Some(f) => array
-                        .operate_at_faulted(&config, &deltas, probe, f)
-                        .unwrap(),
-                };
-                let at = solver.operate_at(&config, probe).unwrap();
-                prop_assert_eq!(at.current(), legacy_at.current());
-                prop_assert_eq!(at.voltage(), legacy_at.voltage());
-                prop_assert_eq!(at.power().value().to_bits(), legacy_at.power().value().to_bits());
+                let probe = expected.current * frac;
+                let expected = reference::operate_at(&array, &config, &deltas, active, probe);
+                let at = solver.operate_at(&config, Amps::new(probe)).unwrap();
+                prop_assert!(bits_match(at, &expected), "operate_at {:?} vs {:?}", at, expected);
             }
         }
-
-        /// The memoised candidate scan is bit-identical to the direct one,
-        /// for arbitrary partitions and fault patterns —
-        /// whether a range sum is served from the table or freshly computed
-        /// must be unobservable in the results.
-        #[test]
-        fn prop_memoised_scan_matches_direct_scan_bitwise(
-            n in 2usize..20,
-            base in 0.0_f64..80.0,
-            span in -30.0_f64..50.0,
-            seeds in collection::vec(0u64..u64::MAX, 1..8),
-            fault_mask in 0u64..u64::MAX,
-        ) {
-            let array = TegArray::uniform(module(), n);
-            let deltas = gradient_deltas(n, base, span);
-            let faults = fault_pattern(n, fault_mask);
-            let candidates: Vec<_> = seeds
-                .iter()
-                .map(|&s| partition_from_mask(n, s))
-                .collect();
-            let mut solver = ArraySolver::new();
-            solver.load(&array, &deltas, Some(&faults)).unwrap();
-            let mut direct = Vec::new();
-            solver.evaluate_candidates(&candidates, &mut direct).unwrap();
-            let mut memo = GroupSumMemo::new();
-            let mut memoised = Vec::new();
-            // Twice through the same memo: the second pass is all hits.
-            for _ in 0..2 {
-                solver
-                    .evaluate_candidates_with_memo(&candidates, &mut memo, &mut memoised)
-                    .unwrap();
-                for (a, b) in direct.iter().zip(&memoised) {
-                    prop_assert_eq!(a.value().to_bits(), b.value().to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memo_reuses_ranges_and_invalidates_on_reload() {
-        let array = TegArray::uniform(module(), 8);
-        let deltas = gradient_deltas(8, 50.0, 20.0);
-        let candidates = vec![
-            Configuration::new(vec![0, 4], 8).unwrap(),
-            // Shares the leading [0, 4) range with the first candidate.
-            Configuration::new(vec![0, 4, 6], 8).unwrap(),
-        ];
-        let mut solver = ArraySolver::new();
-        solver.load(&array, &deltas, None).unwrap();
-        let mut memo = GroupSumMemo::new();
-        let mut out = Vec::new();
-        solver
-            .evaluate_candidates_with_memo(&candidates, &mut memo, &mut out)
-            .unwrap();
-        // Ranges [0,4) and [4,8) computed for the first candidate; the
-        // second reuses [0,4) and computes [4,6) and [6,8).
-        assert_eq!((memo.hits(), memo.computed()), (1, 4));
-        assert_eq!(memo.len(), 4);
-
-        // Same load generation: a repeat scan is served entirely from the
-        // table.
-        solver
-            .evaluate_candidates_with_memo(&candidates, &mut memo, &mut out)
-            .unwrap();
-        assert_eq!((memo.hits(), memo.computed()), (6, 4));
-
-        // Reloading the same terms still invalidates — the memo cannot tell
-        // equal inputs apart and must never trust a stale generation.
-        solver.load(&array, &deltas, None).unwrap();
-        solver
-            .evaluate_candidates_with_memo(&candidates, &mut memo, &mut out)
-            .unwrap();
-        assert_eq!((memo.hits(), memo.computed()), (7, 8));
-
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.len(), 0);
-    }
-
-    #[test]
-    fn memoised_scan_validates_like_the_direct_scan() {
-        let array = TegArray::uniform(module(), 6);
-        let deltas = gradient_deltas(6, 40.0, 10.0);
-        let mut solver = ArraySolver::new();
-        let mut memo = GroupSumMemo::new();
-        let mut out = vec![Watts::ZERO];
-        let ok = Configuration::uniform(6, 2).unwrap();
-        let wrong = Configuration::uniform(8, 2).unwrap();
-        assert!(solver
-            .evaluate_candidates_with_memo(std::slice::from_ref(&ok), &mut memo, &mut out)
-            .is_err());
-        solver.load(&array, &deltas, None).unwrap();
-        assert!(solver
-            .evaluate_candidates_with_memo(&[ok, wrong], &mut memo, &mut out)
-            .is_err());
-        // On error `out` is untouched, exactly like the direct scan.
-        assert_eq!(out.len(), 1);
     }
 }

@@ -1,7 +1,9 @@
 //! Solver hot-path microbenchmark — the candidate scan that dominates every
-//! reconfiguration decision, measured on the legacy per-call path
-//! (`TegArray::mpp_power` per candidate) against the compiled batch path
-//! (`ArraySolver::load` + `evaluate_candidates`).  For INOR it also times
+//! reconfiguration decision, measured as one-off solves (the `legacy`
+//! column: a fresh `ArraySolver`, `load` and `mpp` per candidate, so every
+//! candidate re-derives the module terms) against the batch path (the
+//! `compiled` column: one `ArraySolver::load` + `evaluate_candidates` for
+//! the whole candidate set).  For INOR it also times
 //! the fused scan, `Inor::optimise_with`, which partitions and evaluates
 //! every candidate in one pass; its `fused_ns` covers the whole decision
 //! (bounds, partitions and scoring), where the other two columns time only
@@ -78,12 +80,28 @@ fn candidates_for(
         .collect()
 }
 
+/// One candidate's MPP power solved from scratch: a fresh solver that loads
+/// the module terms for this candidate alone.
+fn one_off_mpp_power(
+    array: &TegArray,
+    candidate: &Configuration,
+    deltas: &[TemperatureDelta],
+) -> f64 {
+    let mut solver = ArraySolver::new();
+    solver.load(array, deltas, None).expect("load");
+    solver
+        .mpp(candidate)
+        .expect("one-off solve")
+        .power()
+        .value()
+}
+
 fn measure(scheme: &'static str, modules: usize) -> Case {
     let array = paper_array(modules);
     let deltas = exponential_deltas(modules, 70.0, 0.8);
     let candidates = candidates_for(scheme, &array, &deltas);
 
-    // Equivalence gate: the batch kernel must reproduce the legacy path bit
+    // Equivalence gate: the batch scan must reproduce the one-off solves bit
     // for bit before its speed means anything.
     let mut solver = ArraySolver::new();
     let mut powers = Vec::new();
@@ -92,11 +110,11 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
         .evaluate_candidates(&candidates, &mut powers)
         .expect("batch evaluation");
     for (candidate, batch) in candidates.iter().zip(&powers) {
-        let legacy = array.mpp_power(candidate, &deltas).expect("legacy solve");
+        let legacy = one_off_mpp_power(&array, candidate, &deltas);
         assert_eq!(
             batch.value().to_bits(),
-            legacy.value().to_bits(),
-            "batch kernel diverged from the legacy path on {scheme} n={modules}"
+            legacy.to_bits(),
+            "batch scan diverged from the one-off solves on {scheme} n={modules}"
         );
     }
 
@@ -125,10 +143,7 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
     let legacy_ns = time_scan_ns(|| {
         let mut acc = 0.0;
         for candidate in &candidates {
-            acc += array
-                .mpp_power(black_box(candidate), &deltas)
-                .expect("legacy solve")
-                .value();
+            acc += one_off_mpp_power(&array, black_box(candidate), &deltas);
         }
         black_box(acc);
     });
@@ -206,7 +221,7 @@ fn main() -> ExitCode {
         cases.push(measure("EHTR", modules));
     }
 
-    println!("# Candidate-scan hot path: compiled batch kernel vs legacy per-call solves");
+    println!("# Candidate-scan hot path: one batch scan vs one-off solves per candidate");
     println!("scheme,modules,candidates,legacy_ns,compiled_ns,speedup,fused_ns");
     for case in &cases {
         println!(

@@ -18,11 +18,9 @@
 //!   reaches the ideal share `Σ I_MPP / n`, which is exactly the greedy
 //!   signal INOR uses — the colony starts from the heuristic's intuition
 //!   and explores around it;
-//! * each generation's ant population is scored in **one SoA batch**
-//!   through [`ArraySolver::evaluate_candidates_with_memo`], whose old/new
-//!   incremental table ([`GroupSumMemo`]) reuses every group-range sum that
-//!   repeats across ants and generations, so ants differing from the
-//!   incumbent in a few boundaries cost hash lookups, not re-solves.
+//! * each generation's ant population is scored in **one batch** through
+//!   [`ArraySolver::evaluate_candidates`] against module terms loaded once
+//!   per decision.
 //!
 //! The colony is seeded memetically with both greedy heuristics' candidate
 //! sets — INOR's balanced partitions and EHTR's least-imbalance DP
@@ -44,7 +42,7 @@ use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use teg_array::{ArraySolver, Configuration, GroupSumMemo, TegArray};
+use teg_array::{ArraySolver, Configuration, TegArray};
 use teg_units::{Amps, Seconds, TemperatureDelta, Watts};
 
 use crate::ehtr::Ehtr;
@@ -284,9 +282,8 @@ impl AcoReconfigurer {
 
         let mut solver = ArraySolver::new();
         solver.load(array, deltas, None)?;
-        let mut memo = GroupSumMemo::new();
         let mut powers = Vec::with_capacity(population.len());
-        solver.evaluate_candidates_with_memo(&population, &mut memo, &mut powers)?;
+        solver.evaluate_candidates(&population, &mut powers)?;
 
         // Pheromone over module→group assignments, uniform to start.  The
         // table is sized by the widest seed (the applied wiring may have
@@ -313,7 +310,7 @@ impl AcoReconfigurer {
                     ants.push(ant);
                 }
             }
-            solver.evaluate_candidates_with_memo(&ants, &mut memo, &mut powers)?;
+            solver.evaluate_candidates(&ants, &mut powers)?;
             let (gen_best, gen_power) = take_earliest_max(std::mem::take(&mut ants), &powers);
 
             // Evaporate, then reinforce the generation-best trail scaled by

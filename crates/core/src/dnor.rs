@@ -358,15 +358,15 @@ impl Dnor {
         // INOR's scan does not use this solver, so the current row is
         // loaded here before the predicted rows.
         solver.load(array, &self.current_deltas, None)?;
-        let current_power = solver.mpp_power(incumbent)?;
+        let current_power = solver.mpp(incumbent)?.power();
         let mut energy_old = current_power * step;
-        let mut energy_new = solver.mpp_power(candidate)? * step;
+        let mut energy_new = solver.mpp(candidate)?.power() * step;
         for row in &self.forecast {
             self.row_deltas.clear();
             TelemetryWindow::deltas_from_row_into(row, window.ambient(), &mut self.row_deltas);
             solver.load(array, &self.row_deltas, None)?;
-            energy_old += solver.mpp_power(incumbent)? * step;
-            energy_new += solver.mpp_power(candidate)? * step;
+            energy_old += solver.mpp(incumbent)?.power() * step;
+            energy_new += solver.mpp(candidate)?.power() * step;
         }
         Ok((energy_old, energy_new, current_power))
     }
@@ -636,7 +636,9 @@ mod tests {
         let decision = dnor.decide(&inputs, &start).unwrap();
         let deltas = inputs.current_deltas();
         let adopted = decision.configuration().unwrap_or(&start);
-        let adopted_power = a.mpp_power(adopted, &deltas).unwrap();
+        let mut solver = ArraySolver::new();
+        solver.load(&a, &deltas, None).unwrap();
+        let adopted_power = solver.mpp(adopted).unwrap().power();
         let (_, inor_power) = Inor::default().optimise(&a, &deltas).unwrap();
         // DNOR either adopted INOR's configuration or found the old one good
         // enough; in the latter case the start configuration was already

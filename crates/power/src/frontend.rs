@@ -1,6 +1,6 @@
 //! The harvesting front-end: charger + battery bookkeeping for one array.
 
-use teg_array::{ArrayOperatingPoint, Configuration, TegArray};
+use teg_array::{Configuration, SolvedPoint, TegArray};
 use teg_units::{Joules, Seconds, TemperatureDelta, Watts};
 
 use crate::battery::LeadAcidBattery;
@@ -11,7 +11,7 @@ use crate::mppt::PerturbObserve;
 /// Summary of one harvesting interval processed by the front-end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarvestReport {
-    array_point: ArrayOperatingPoint,
+    array_point: SolvedPoint,
     converter_efficiency: f64,
     delivered_power: Watts,
     delivered_energy: Joules,
@@ -20,7 +20,7 @@ pub struct HarvestReport {
 impl HarvestReport {
     /// The array operating point the MPPT settled on.
     #[must_use]
-    pub const fn array_point(&self) -> &ArrayOperatingPoint {
+    pub const fn array_point(&self) -> &SolvedPoint {
         &self.array_point
     }
 
@@ -129,7 +129,7 @@ impl HarvestingFrontEnd {
         let outcome = self
             .mppt
             .track(array, config, deltas, self.mppt_iterations)?;
-        let point = outcome.operating_point().clone();
+        let point = *outcome.operating_point();
         let efficiency = self.charger.efficiency(point.voltage());
         let delivered_power = self.charger.output_power(point.voltage(), point.power());
         let delivered_energy = delivered_power * duration;
@@ -147,6 +147,7 @@ impl HarvestingFrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teg_array::{ArrayError, ArraySolver};
     use teg_device::{TegDatasheet, TegModule};
 
     fn setup(n: usize) -> (TegArray, Vec<TemperatureDelta>, HarvestingFrontEnd) {
@@ -227,6 +228,26 @@ mod tests {
         assert!(frontend
             .harvest(&array, &config, &wrong, Seconds::new(1.0))
             .is_err());
+    }
+
+    #[test]
+    fn configuration_covering_more_modules_is_an_error_not_a_panic() {
+        // A 12-module wiring on a 10-module array: the tracker and the
+        // front-end return the solver's own error for it.
+        let (array, deltas, mut frontend) = setup(10);
+        let config = Configuration::uniform(12, 3).unwrap();
+        let mut solver = ArraySolver::new();
+        solver.load(&array, &deltas, None).unwrap();
+        let expected = PowerError::Array(solver.mpp(&config).unwrap_err());
+        assert!(matches!(
+            expected,
+            PowerError::Array(ArrayError::InvalidConfiguration { .. })
+        ));
+        let tracked = PerturbObserve::default().track(&array, &config, &deltas, 10);
+        assert_eq!(tracked.unwrap_err(), expected);
+        let harvested = frontend.harvest(&array, &config, &deltas, Seconds::new(1.0));
+        assert_eq!(harvested.unwrap_err(), expected);
+        assert_eq!(frontend.total_delivered(), Joules::ZERO);
     }
 
     #[test]

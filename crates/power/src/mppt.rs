@@ -5,7 +5,7 @@
 //! Femia et al.: perturb the operating current by a small step, keep going in
 //! the same direction while the measured power increases, reverse otherwise.
 
-use teg_array::{ArrayOperatingPoint, ArraySolver, Configuration, TegArray};
+use teg_array::{ArraySolver, Configuration, SolvedPoint, TegArray};
 use teg_units::{Amps, TemperatureDelta};
 
 use crate::error::PowerError;
@@ -13,7 +13,7 @@ use crate::error::PowerError;
 /// Result of running the MPPT loop against a configured array.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MpptOutcome {
-    operating_point: ArrayOperatingPoint,
+    operating_point: SolvedPoint,
     iterations: usize,
     converged: bool,
 }
@@ -21,7 +21,7 @@ pub struct MpptOutcome {
 impl MpptOutcome {
     /// The operating point the tracker settled on.
     #[must_use]
-    pub const fn operating_point(&self) -> &ArrayOperatingPoint {
+    pub const fn operating_point(&self) -> &SolvedPoint {
         &self.operating_point
     }
 
@@ -45,7 +45,7 @@ impl MpptOutcome {
 /// # Examples
 ///
 /// ```
-/// use teg_array::{Configuration, TegArray};
+/// use teg_array::{ArraySolver, Configuration, TegArray};
 /// use teg_device::{TegDatasheet, TegModule};
 /// use teg_power::PerturbObserve;
 /// use teg_units::TemperatureDelta;
@@ -58,7 +58,9 @@ impl MpptOutcome {
 /// let mut mppt = PerturbObserve::default();
 /// let outcome = mppt.track(&array, &config, &deltas, 200)?;
 /// // P&O lands within a few percent of the analytic MPP.
-/// let analytic = array.maximum_power_point(&config, &deltas).map_err(teg_power::PowerError::from)?;
+/// let mut solver = ArraySolver::new();
+/// solver.load(&array, &deltas, None).map_err(teg_power::PowerError::from)?;
+/// let analytic = solver.mpp(&config).map_err(teg_power::PowerError::from)?;
 /// assert!(outcome.operating_point().power().value() > 0.97 * analytic.power().value());
 /// # Ok(())
 /// # }
@@ -120,7 +122,8 @@ impl PerturbObserve {
     /// # Errors
     ///
     /// Propagates [`ArrayError`](teg_array::ArrayError) from the solver as
-    /// [`PowerError::Array`].
+    /// [`PowerError::Array`], including a configuration that covers a
+    /// different module count than the array.
     pub fn track(
         &mut self,
         array: &TegArray,
@@ -128,6 +131,16 @@ impl PerturbObserve {
         deltas: &[TemperatureDelta],
         max_iterations: usize,
     ) -> Result<MpptOutcome, PowerError> {
+        // The wiring and the temperatures are fixed for the whole loop: load
+        // the module terms once and let the solver's scratch absorb the
+        // hundreds of perturbation solves without a single per-iteration
+        // allocation or module re-derivation.
+        let mut solver = ArraySolver::new();
+        solver.load(array, deltas, None)?;
+        // A solve rejects a wiring of another module count with the
+        // solver's own error, before the seed indexes per-module currents.
+        solver.operate_at(config, Amps::ZERO)?;
+
         let mpp_currents = array.mpp_currents(deltas)?;
         // Seed: the mean of the per-group MPP-current sums, halved.
         let mut group_sum_mean = 0.0;
@@ -139,13 +152,6 @@ impl PerturbObserve {
         }
         group_sum_mean /= config.group_count() as f64;
         let mut current = Amps::new((group_sum_mean * 0.5).max(1e-3));
-
-        // The wiring and the temperatures are fixed for the whole loop: load
-        // the module terms once and let the solver's scratch absorb the
-        // hundreds of perturbation solves without a single per-iteration
-        // allocation or module re-derivation.
-        let mut solver = ArraySolver::new();
-        solver.load(array, deltas, None)?;
 
         let mut step = self.initial_step;
         let mut direction = 1.0_f64;
@@ -179,12 +185,8 @@ impl PerturbObserve {
         }
         let _ = last_power;
 
-        // Materialise the winning point (with its per-group detail) through
-        // the legacy entry point; the kernel is deterministic, so solving
-        // the same current again reproduces `best` exactly.
-        let operating_point = array.operate_at(config, deltas, best.current())?;
         Ok(MpptOutcome {
-            operating_point,
+            operating_point: best,
             iterations,
             converged,
         })
@@ -221,12 +223,22 @@ mod tests {
             .collect()
     }
 
+    fn analytic_mpp(
+        a: &TegArray,
+        config: &Configuration,
+        deltas: &[TemperatureDelta],
+    ) -> SolvedPoint {
+        let mut solver = ArraySolver::new();
+        solver.load(a, deltas, None).unwrap();
+        solver.mpp(config).unwrap()
+    }
+
     #[test]
     fn tracker_approaches_analytic_mpp() {
         let a = array(20);
         let deltas = gradient(20);
         let config = Configuration::uniform(20, 5).unwrap();
-        let analytic = a.maximum_power_point(&config, &deltas).unwrap();
+        let analytic = analytic_mpp(&a, &config, &deltas);
         let outcome = PerturbObserve::default()
             .track(&a, &config, &deltas, 500)
             .unwrap();
@@ -289,7 +301,7 @@ mod tests {
         let a = array(16);
         let deltas = vec![TemperatureDelta::new(55.0); 16];
         let config = Configuration::uniform(16, 4).unwrap();
-        let analytic = a.maximum_power_point(&config, &deltas).unwrap();
+        let analytic = analytic_mpp(&a, &config, &deltas);
         let outcome = PerturbObserve::default()
             .track(&a, &config, &deltas, 300)
             .unwrap();

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use teg_harvest::array::{ideal_power, Configuration, TegArray};
+use teg_harvest::array::{ideal_power, ArraySolver, Configuration, TegArray};
 use teg_harvest::device::{TegDatasheet, TegModule};
 use teg_harvest::reconfig::{Inor, ReconfigInputs, Reconfigurer};
 use teg_harvest::units::Celsius;
@@ -19,10 +19,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let history = vec![temperatures];
     let inputs = ReconfigInputs::new(&array, &history, ambient)?;
     let deltas = inputs.current_deltas();
+    let mut solver = ArraySolver::new();
+    solver.load(&array, &deltas, None)?;
 
     // The fixed wiring a non-reconfigurable array would use.
     let grid = Configuration::uniform(20, 5)?;
-    let grid_power = array.mpp_power(&grid, &deltas)?;
+    let grid_power = solver.mpp(&grid)?.power();
 
     // One INOR decision.
     let mut inor = Inor::default();
@@ -30,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let chosen = decision
         .configuration()
         .expect("INOR always proposes a configuration");
-    let inor_power = array.mpp_power(chosen, &deltas)?;
+    let inor_power = solver.mpp(chosen)?.power();
     let ideal = ideal_power(array.modules(), &deltas)?;
 
     println!("fixed grid          : {grid} -> {grid_power}");
