@@ -107,7 +107,6 @@ pub struct ArraySolver {
     loaded_modules: usize,
     g: Vec<f64>,
     ge: Vec<f64>,
-    connected: Vec<bool>,
     short: Vec<bool>,
     // Per-group Norton sums of the most recent evaluation.
     group_s: Vec<f64>,
@@ -161,13 +160,10 @@ impl ArraySolver {
         for i in 0..n {
             self.short[i] =
                 faults.is_some_and(|f| f.module_fault(i) == Some(ModuleFault::ShortCircuit));
-            match array.module_source(i, deltas[i], faults) {
-                Some((g, e)) => {
-                    self.g[i] = g;
-                    self.ge[i] = g * e;
-                    self.connected[i] = true;
-                }
-                None => self.connected[i] = false,
+            // An open module keeps the zero terms `reset_terms` wrote.
+            if let Some((g, e)) = array.module_source(i, deltas[i], faults) {
+                self.g[i] = g;
+                self.ge[i] = g * e;
             }
         }
         Ok(())
@@ -179,8 +175,6 @@ impl ArraySolver {
         self.g.resize(n, 0.0);
         self.ge.clear();
         self.ge.resize(n, 0.0);
-        self.connected.clear();
-        self.connected.resize(n, true);
         self.short.clear();
         self.short.resize(n, false);
     }
@@ -303,20 +297,20 @@ impl ArraySolver {
         !broken
     }
 
-    /// Sums the loaded terms over `start..end` in module order.
+    /// Sums the loaded terms over `start..end` in module order.  Open
+    /// modules contribute their `+0.0` terms: a sum that starts at `+0.0`
+    /// never becomes `-0.0` under round-to-nearest, so adding `+0.0` is the
+    /// identity and skipping them would give the same bits.
     fn sum_range(&self, start: usize, end: usize) -> (f64, f64, bool) {
         let mut s_g = 0.0;
-        let mut g_g = 0.0;
-        let mut shorted = false;
-        for i in start..end {
-            shorted |= self.short[i];
-            if !self.connected[i] {
-                continue;
-            }
-            s_g += self.ge[i];
-            g_g += self.g[i];
+        for &ge in &self.ge[start..end] {
+            s_g += ge;
         }
-        (s_g, g_g, shorted)
+        let mut g_g = 0.0;
+        for &g in &self.g[start..end] {
+            g_g += g;
+        }
+        (s_g, g_g, self.short[start..end].contains(&true))
     }
 
     /// Solves the operating point at an imposed current from the

@@ -323,8 +323,8 @@ impl<'a> TelemetryWindow<'a> {
     /// Appends the ΔT values of a temperature row to an existing buffer —
     /// the allocation-free sibling of [`TelemetryWindow::deltas_from_row`],
     /// performing the identical per-module operation so the two agree bit
-    /// for bit.  The strided thermal-trace solve streams every sample's
-    /// deltas through this single definition.
+    /// for bit.  The simulation's plant derives each step's true ΔT from
+    /// the stored surface row through it.
     pub fn deltas_from_row_into(row: &[f64], ambient: Celsius, out: &mut Vec<TemperatureDelta>) {
         out.extend(
             row.iter()
@@ -333,10 +333,9 @@ impl<'a> TelemetryWindow<'a> {
     }
 
     /// [`TelemetryWindow::deltas_from_row_into`] writing into an
-    /// exact-length slice instead of appending — the chunk-safe form a
-    /// parallel trace solver uses to fill disjoint strided ranges of one
-    /// preallocated buffer.  Same per-module operation, so the written
-    /// values are bit-identical.
+    /// exact-length slice instead of appending — the form the thermal-trace
+    /// solve uses for its reused ΔT scratch row.  Same per-module operation,
+    /// so the written values are bit-identical.
     ///
     /// # Panics
     ///

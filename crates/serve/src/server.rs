@@ -95,7 +95,9 @@ pub struct ServerConfig {
     /// Largest total simulated-step budget (cells × schemes × drive seconds)
     /// a single request may submit.
     pub max_steps: usize,
-    /// Capacity of the shared trace cache (0 = unbounded).
+    /// Capacity of the shared trace cache (0 = unbounded).  One entry
+    /// costs about `modules × samples × 8 B`: 2.56 MB at 400 modules ×
+    /// 800 s, so the default 256 entries hold at most about 0.66 GB.
     pub cache_capacity: usize,
     /// Directory for checkpoint journals; `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,

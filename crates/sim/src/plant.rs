@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use teg_array::{ArraySolver, FaultState};
-use teg_reconfig::SensorFaultInjector;
-use teg_units::{Celsius, Seconds, Watts};
+use teg_reconfig::{SensorFaultInjector, TelemetryWindow};
+use teg_units::{Celsius, Seconds, TemperatureDelta, Watts};
 
 use crate::error::SimError;
 use crate::fault::FaultEvent;
@@ -22,7 +22,8 @@ use crate::thermal_trace::ThermalTrace;
 
 /// The drive-cycle replay shared by every controller of one scenario: the
 /// fault-plan cursor, the electrical fault state, the sensor injector with
-/// its corrupted telemetry row and one solver loaded once per step.
+/// its corrupted telemetry row, the true ΔT row and one solver loaded once
+/// per step.
 pub(crate) struct Plant<'s> {
     scenario: &'s Scenario,
     trace: Arc<ThermalTrace>,
@@ -32,6 +33,7 @@ pub(crate) struct Plant<'s> {
     electrical_faults: FaultState,
     sensors: SensorFaultInjector,
     corrupted_row: Vec<f64>,
+    deltas: Vec<TemperatureDelta>,
     solver: ArraySolver,
     fault_events_fired: usize,
     faulted_steps: usize,
@@ -80,6 +82,7 @@ impl<'s> Plant<'s> {
             electrical_faults: FaultState::healthy(module_count),
             sensors,
             corrupted_row: Vec::new(),
+            deltas: Vec::new(),
             solver: ArraySolver::new(),
             fault_events_fired: 0,
             faulted_steps: 0,
@@ -117,9 +120,10 @@ impl<'s> Plant<'s> {
     }
 
     /// Advances one drive second: fires every fault-plan event due at (or
-    /// before) it, corrupts the sensor view and loads the module terms of
-    /// the true ΔT row — once, for every controller.  Returns `Ok(None)`
-    /// once the cycle is exhausted.
+    /// before) it, corrupts the sensor view, derives the true ΔT row from
+    /// the trace's surface row and ambient into the plant's reused buffer
+    /// and loads its module terms — once, for every controller.  Returns
+    /// `Ok(None)` once the cycle is exhausted.
     ///
     /// # Errors
     ///
@@ -166,11 +170,10 @@ impl<'s> Plant<'s> {
             &self.corrupted_row
         };
         let electrical_faults = electrical_active.then_some(&self.electrical_faults);
-        self.solver.load(
-            self.scenario.array(),
-            trace.deltas(index),
-            electrical_faults,
-        )?;
+        self.deltas.clear();
+        TelemetryWindow::deltas_from_row_into(trace.row(index), ambient, &mut self.deltas);
+        self.solver
+            .load(self.scenario.array(), &self.deltas, electrical_faults)?;
         Ok(Some(PlantStep {
             time: trace.time(index),
             ambient,
@@ -183,5 +186,53 @@ impl<'s> Plant<'s> {
             fault_events,
             solver: &mut self.solver,
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use teg_array::ideal_power;
+
+    use super::*;
+    use crate::fault::{FaultPlan, FaultSeverity};
+
+    #[test]
+    fn derived_deltas_are_the_trace_rows_against_their_ambient_bit_for_bit() {
+        // The plant derives the true ΔT from the trace's surface row and
+        // ambient; the trace's ideal power is the bound of that same
+        // expression.  Sensor faults corrupt only the telemetry view, never
+        // the ΔT the solver loads.
+        let (modules, seconds) = (12, 60);
+        let scenario = Scenario::builder()
+            .module_count(modules)
+            .duration_seconds(seconds)
+            .seed(5)
+            .fault_plan(FaultPlan::random(
+                modules,
+                seconds,
+                FaultSeverity::severe(),
+                3,
+            ))
+            .build()
+            .expect("valid scenario");
+        let trace = Arc::clone(scenario.thermal_trace_shared().unwrap());
+        let mut plant = Plant::new(&scenario).unwrap();
+        while let Some(step) = plant.advance().unwrap() {
+            let ideal = step.ideal;
+            let index = plant.position() - 1;
+            let expected = TelemetryWindow::deltas_from_row(trace.row(index), trace.ambient(index));
+            assert_eq!(plant.deltas.len(), modules);
+            for (a, b) in plant.deltas.iter().zip(&expected) {
+                assert_eq!(a.kelvin().to_bits(), b.kelvin().to_bits(), "ΔT {index}");
+            }
+            let bound = ideal_power(scenario.array().modules(), &expected).unwrap();
+            assert_eq!(
+                ideal.value().to_bits(),
+                bound.value().to_bits(),
+                "ideal {index}"
+            );
+        }
+        assert_eq!(plant.position(), seconds);
+        assert!(plant.faulted_steps() > 0, "the plan must strike mid-drive");
     }
 }

@@ -5,7 +5,9 @@
 //! problem four times.  [`ThermalTrace`] hoists that work out of the
 //! simulation loop: it is computed lazily, cached on the [`Scenario`], and
 //! borrowed by every session and comparison that replays the same drive
-//! cycle.
+//! cycle.  A trace stores each sample's surface row once; the per-module ΔT
+//! is derived from that row and the ambient by the simulation's plant, once
+//! per step for its whole lockstep field.
 //!
 //! [`Scenario`]: crate::Scenario
 
@@ -43,13 +45,11 @@ pub struct ThermalTrace {
     ambients: Vec<Celsius>,
     // Structure-of-arrays storage: `width` consecutive entries per sample in
     // one contiguous buffer, rather than one heap allocation per sample.
-    // The solve loop streams rows cache-linearly and `row(i)`/`deltas(i)`
-    // hand out strided slices, so the per-step hot path of every session
-    // walks a single flat allocation.
+    // The solve loop streams rows cache-linearly and `row(i)` hands out
+    // strided slices.  ΔT is not stored: the plant derives it from
+    // `row(i)` and `ambient(i)` once per step, so each trace holds its
+    // `width × len` grid once.
     rows: Vec<f64>,
-    // Scheme-independent derived quantities, precomputed once so N lockstep
-    // sessions do not redo them N times per sample (same strided layout).
-    deltas: Vec<TemperatureDelta>,
     ideal: Vec<Watts>,
     width: usize,
     step: Seconds,
@@ -61,9 +61,10 @@ impl ThermalTrace {
     /// caches the result; each sample solved is counted against the
     /// scenario's [`Scenario::thermal_solve_count`].
     ///
-    /// The loop writes each sample's temperatures and ΔT values straight
-    /// into the trace's strided buffers, so it performs no per-sample heap
-    /// allocation — the buffers are reserved once for the whole cycle.
+    /// The loop writes each sample's temperatures straight into the trace's
+    /// strided buffer and derives its ΔT into one reused `width`-long
+    /// scratch row for the ideal-power bound, so it performs no per-sample
+    /// heap allocation — the buffers are reserved once for the whole cycle.
     ///
     /// The arithmetic (profile evaluation order, ΔT clamping, ideal-power
     /// sum) is identical to the historical row-per-`Vec` layout, so solved
@@ -83,7 +84,7 @@ impl ThermalTrace {
         let mut times = Vec::with_capacity(len);
         let mut ambients = Vec::with_capacity(len);
         let mut rows = vec![0.0; len * width];
-        let mut deltas = vec![TemperatureDelta::ZERO; len * width];
+        let mut delta = vec![TemperatureDelta::ZERO; width];
         let mut ideal = Vec::with_capacity(len);
 
         for (index, sample) in samples.iter().enumerate() {
@@ -94,9 +95,8 @@ impl ThermalTrace {
             profile.sample_into_slice(placement, row);
             scenario.count_thermal_solve();
             let ambient = sample.ambient().temperature();
-            let delta = &mut deltas[index * width..(index + 1) * width];
-            TelemetryWindow::deltas_from_row_into_slice(row, ambient, delta);
-            ideal.push(ideal_power(array.modules(), delta)?);
+            TelemetryWindow::deltas_from_row_into_slice(row, ambient, &mut delta);
+            ideal.push(ideal_power(array.modules(), &delta)?);
             times.push(sample.time());
             ambients.push(ambient);
         }
@@ -105,7 +105,6 @@ impl ThermalTrace {
             times,
             ambients,
             rows,
-            deltas,
             ideal,
             width,
             step: scenario.step(),
@@ -127,7 +126,6 @@ impl ThermalTrace {
             times: self.times[start..end].to_vec(),
             ambients: self.ambients[start..end].to_vec(),
             rows: self.rows[start * self.width..end * self.width].to_vec(),
-            deltas: self.deltas[start * self.width..end * self.width].to_vec(),
             ideal: self.ideal[start..end].to_vec(),
             width: self.width,
             step: self.step,
@@ -148,8 +146,8 @@ impl ThermalTrace {
         self.times.is_empty()
     }
 
-    /// Number of modules per sample (the stride of [`ThermalTrace::row`] and
-    /// [`ThermalTrace::deltas`] slices).
+    /// Number of modules per sample (the stride of [`ThermalTrace::row`]
+    /// slices).
     #[inline]
     #[must_use]
     pub const fn width(&self) -> usize {
@@ -195,18 +193,6 @@ impl ThermalTrace {
     #[must_use]
     pub fn ambient(&self, index: usize) -> Celsius {
         self.ambients[index]
-    }
-
-    /// Per-module ΔT against the ambient (clamped at zero) at the `index`-th
-    /// sample — precomputed once and shared by every scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    #[inline]
-    #[must_use]
-    pub fn deltas(&self, index: usize) -> &[TemperatureDelta] {
-        &self.deltas[index * self.width..(index + 1) * self.width]
     }
 
     /// The unconstrained upper bound `P_ideal` (sum of module MPPs) at the
@@ -333,9 +319,10 @@ mod tests {
 
     #[test]
     fn strided_rows_match_a_fresh_per_sample_solve() {
-        // The SoA buffers must hand out exactly the values the radiator
-        // produces for each sample, and the deltas must match
-        // `TelemetryWindow::deltas_from_row` bit for bit.
+        // The SoA buffer must hand out exactly the values the radiator
+        // produces for each sample, and each ideal power must be the bound
+        // of the ΔT `TelemetryWindow::deltas_from_row` derives from that row
+        // and ambient, bit for bit.
         use teg_reconfig::TelemetryWindow;
 
         let s = scenario(9, 12, 6);
@@ -356,9 +343,18 @@ mod tests {
             for (a, b) in fresh.iter().zip(row) {
                 assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
             }
-            let fresh_deltas =
-                TelemetryWindow::deltas_from_row(row, sample.ambient().temperature());
-            assert_eq!(fresh_deltas.as_slice(), trace.deltas(i), "deltas {i}");
+            assert_eq!(
+                trace.ambient(i).value().to_bits(),
+                sample.ambient().temperature().value().to_bits(),
+                "ambient {i}"
+            );
+            let derived = TelemetryWindow::deltas_from_row(row, trace.ambient(i));
+            let bound = ideal_power(s.array().modules(), &derived).unwrap();
+            assert_eq!(
+                trace.ideal(i).value().to_bits(),
+                bound.value().to_bits(),
+                "ideal {i}"
+            );
         }
     }
 

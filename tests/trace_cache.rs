@@ -4,6 +4,9 @@
 //! equal thermal inputs to a single solve.
 
 use proptest::prelude::*;
+use teg_harvest::array::ideal_power;
+use teg_harvest::device::TegModule;
+use teg_harvest::reconfig::TelemetryWindow;
 use teg_harvest::sim::{
     FaultProfile, FaultSeverity, RuntimePolicy, Scenario, ScenarioGrid, SchemeLineup, SweepRunner,
     ThermalTrace, TraceCache,
@@ -72,8 +75,9 @@ fn unique_solve_count_is_pinned_for_a_shared_key_grid() {
 }
 
 /// Strict bitwise trace equality — stronger than `PartialEq` (which would
-/// accept `-0.0 == 0.0`).
-fn assert_traces_bit_identical(fresh: &ThermalTrace, cached: &ThermalTrace) {
+/// accept `-0.0 == 0.0`).  ΔT is not stored: each ideal power must be the
+/// bound of the ΔT derived from its own row and ambient.
+fn assert_traces_bit_identical(modules: &[TegModule], fresh: &ThermalTrace, cached: &ThermalTrace) {
     assert_eq!(fresh.len(), cached.len());
     assert_eq!(fresh.width(), cached.width());
     for i in 0..fresh.len() {
@@ -85,9 +89,13 @@ fn assert_traces_bit_identical(fresh: &ThermalTrace, cached: &ThermalTrace) {
         for (a, b) in fresh.row(i).iter().zip(cached.row(i)) {
             assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
         }
-        for (a, b) in fresh.deltas(i).iter().zip(cached.deltas(i)) {
-            assert_eq!(a.kelvin().to_bits(), b.kelvin().to_bits(), "deltas {i}");
-        }
+        let derived = TelemetryWindow::deltas_from_row(cached.row(i), cached.ambient(i));
+        let bound = ideal_power(modules, &derived).expect("ideal bound");
+        assert_eq!(
+            cached.ideal(i).value().to_bits(),
+            bound.value().to_bits(),
+            "derived ideal {i}"
+        );
         assert_eq!(
             fresh.ideal(i).value().to_bits(),
             cached.ideal(i).value().to_bits(),
@@ -124,7 +132,8 @@ proptest! {
         prop_assert_eq!(cache.misses(), 1);
         prop_assert_eq!(cache.hits(), 1);
         prop_assert_eq!(second.thermal_solve_count(), 0);
-        assert_traces_bit_identical(fresh_trace, first_trace);
-        assert_traces_bit_identical(fresh_trace, second_trace);
+        let modules = fresh.array().modules();
+        assert_traces_bit_identical(modules, fresh_trace, first_trace);
+        assert_traces_bit_identical(modules, fresh_trace, second_trace);
     }
 }
