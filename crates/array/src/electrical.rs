@@ -101,7 +101,12 @@ impl TegArray {
     /// state: `None` for an open-circuited module, otherwise its conductance
     /// and (possibly derated) EMF.  Short circuits are a *group*-level
     /// condition and are handled by the caller.
-    pub(crate) fn module_source(
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not a module of the array.
+    #[must_use]
+    pub fn module_source(
         &self,
         index: usize,
         delta: TemperatureDelta,

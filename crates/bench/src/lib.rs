@@ -12,6 +12,7 @@
 //! | `table1_comparison` | Table I — 800-second energy / overhead / runtime |
 //! | `scalability_sweep` | §I/§VI scalability claim — runtime vs array size |
 //! | `ablation_dnor` | (ours) DNOR sensitivity to horizon and overhead |
+//! | `opt_gap` | (ours) each scheme's distance to the certified optimum |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

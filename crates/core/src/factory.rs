@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use teg_units::Seconds;
 
-use crate::aco::{AcoConfig, AcoReconfigurer};
 use crate::baseline::StaticBaseline;
 use crate::dnor::{Dnor, DnorConfig};
 use crate::ehtr::Ehtr;
@@ -83,17 +82,15 @@ impl SchemeSpec {
     }
 
     /// Parses a preset token back into the spec that emitted it: `inor`,
-    /// `ehtr`, `dnor`, `dnor-det:<seconds>`, `aco`, `aco:<seed>` or
-    /// `baseline:<modules>`.  Returns `None` for unknown tokens or
-    /// malformed parameters, so wire layers can reject bad requests instead
-    /// of panicking.
+    /// `ehtr`, `dnor`, `dnor-det:<seconds>` or `baseline:<modules>`.
+    /// Returns `None` for unknown tokens or malformed parameters, so wire
+    /// layers can reject bad requests instead of panicking.
     #[must_use]
     pub fn parse(token: &str) -> Option<Self> {
         match token {
             "inor" => return Some(Self::inor()),
             "ehtr" => return Some(Self::ehtr()),
             "dnor" => return Some(Self::dnor()),
-            "aco" => return Some(Self::aco()),
             _ => {}
         }
         if let Some(value) = token.strip_prefix("dnor-det:") {
@@ -102,10 +99,6 @@ impl SchemeSpec {
                 return None;
             }
             return Some(Self::dnor_deterministic(Seconds::new(seconds)));
-        }
-        if let Some(value) = token.strip_prefix("aco:") {
-            let seed: u64 = value.parse().ok()?;
-            return Some(Self::aco_seeded(seed));
         }
         if let Some(value) = token.strip_prefix("baseline:") {
             let modules: usize = value.parse().ok()?;
@@ -166,27 +159,6 @@ impl SchemeSpec {
     #[must_use]
     pub fn ehtr() -> Self {
         Self::new(Ehtr::default).tagged("ehtr".into())
-    }
-
-    /// The ACO search scheme with its default tuning (and default seed).
-    /// Every built instance starts from the same seed, so sweeps are
-    /// workers-independent: each cell's colony replays the same schedule.
-    #[must_use]
-    pub fn aco() -> Self {
-        Self::new(AcoReconfigurer::default).tagged("aco".into())
-    }
-
-    /// The ACO search scheme with default tuning but an explicit seed.
-    #[must_use]
-    pub fn aco_seeded(seed: u64) -> Self {
-        Self::new(move || AcoReconfigurer::new(AcoConfig::default().with_seed(seed)))
-            .tagged(format!("aco:{seed}"))
-    }
-
-    /// The ACO search scheme with explicit tuning parameters.
-    #[must_use]
-    pub fn aco_with(config: AcoConfig) -> Self {
-        Self::new(move || AcoReconfigurer::new(config.clone()))
     }
 
     /// The static square-grid baseline for an array of `module_count`
@@ -255,7 +227,6 @@ mod tests {
             (SchemeSpec::inor(), "INOR"),
             (SchemeSpec::dnor(), "DNOR"),
             (SchemeSpec::ehtr(), "EHTR"),
-            (SchemeSpec::aco(), "ACO"),
             (SchemeSpec::baseline_square_grid(16), "Baseline"),
         ] {
             assert_eq!(spec.name(), expected);
@@ -301,15 +272,7 @@ mod tests {
 
     #[test]
     fn preset_tokens_round_trip_through_parse() {
-        for token in [
-            "inor",
-            "ehtr",
-            "dnor",
-            "dnor-det:0.002",
-            "aco",
-            "aco:42",
-            "baseline:100",
-        ] {
+        for token in ["inor", "ehtr", "dnor", "dnor-det:0.002", "baseline:100"] {
             let spec = SchemeSpec::parse(token).expect(token);
             assert_eq!(spec.spec(), Some(token), "canonical token for {token}");
             let again = SchemeSpec::parse(spec.spec().unwrap()).unwrap();
@@ -331,7 +294,6 @@ mod tests {
     fn custom_constructors_have_no_token_and_bad_tokens_fail() {
         assert_eq!(SchemeSpec::new(Inor::default).spec(), None);
         assert_eq!(SchemeSpec::inor_with(InorConfig::default()).spec(), None);
-        assert_eq!(SchemeSpec::aco_with(AcoConfig::default()).spec(), None);
         for bad in [
             "",
             "nonesuch",
@@ -339,9 +301,8 @@ mod tests {
             "dnor-det:-1",
             "dnor-det:inf",
             "dnor-det:NaN",
-            "aco:",
-            "aco:-1",
-            "aco:seedless",
+            "aco",
+            "aco:42",
             "baseline:",
             "baseline:0",
             "baseline:ten",

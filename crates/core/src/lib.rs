@@ -1,6 +1,6 @@
 //! TEG array reconfiguration algorithms — the paper's primary contribution.
 //!
-//! Five schemes are provided behind the common [`Reconfigurer`] trait:
+//! Four schemes are provided behind the common [`Reconfigurer`] trait:
 //!
 //! * [`Inor`] — **I**nstantaneous **N**ear-**O**ptimal **R**econfiguration
 //!   (Algorithm 1): an `O(N)` greedy that, for every feasible group count
@@ -15,14 +15,13 @@
 //!   **H**euristic **T**EG **R**econfiguration (Baek et al., ISLPED'17): a
 //!   dynamic program over group boundaries that is near-optimal but has
 //!   polynomial (≫ linear) complexity and reconfigures every period.
-//! * [`AcoReconfigurer`] — a metaheuristic beyond the paper's heuristics:
-//!   a seeded ant-colony search over the full contiguous-partition space,
-//!   seeded with INOR's candidates (so it never does worse) and batched
-//!   through the solver's incremental old/new table.  It wins where heavy
-//!   module variation plus faults pull the power optimum away from the
-//!   balanced-current surrogate the greedy schemes optimise.
 //! * [`StaticBaseline`] — the fixed 10 × 10 wiring the paper compares
 //!   against; it never reconfigures.
+//!
+//! [`certified_optimum`] is the yardstick for the first three: the exact best
+//! contiguous wiring in a group-count window, with a certified upper bound
+//! on every wiring there, so "near-optimal" is a measured distance rather
+//! than a name.
 //!
 //! The trait produces a [`ReconfigDecision`] per invocation; the simulation
 //! engine (crate `teg-sim`) charges switching overhead, meters harvested
@@ -33,7 +32,7 @@
 //! ```
 //! use teg_device::{TegDatasheet, TegModule};
 //! use teg_array::{Configuration, TegArray};
-//! use teg_reconfig::{Inor, ReconfigInputs, Reconfigurer};
+//! use teg_reconfig::{Inor, Reconfigurer, TelemetryWindow};
 //! use teg_units::Celsius;
 //!
 //! # fn main() -> Result<(), teg_reconfig::ReconfigError> {
@@ -42,7 +41,7 @@
 //! // A falling temperature profile along the radiator.
 //! let temps: Vec<f64> = (0..20).map(|i| 95.0 - 1.5 * i as f64).collect();
 //! let history = vec![temps];
-//! let inputs = ReconfigInputs::new(&array, &history, Celsius::new(25.0))?;
+//! let inputs = TelemetryWindow::new(&array, &history, Celsius::new(25.0))?;
 //! let mut inor = Inor::default();
 //! let current = Configuration::uniform(20, 4).expect("valid");
 //! let decision = inor.decide(&inputs, &current)?;
@@ -57,7 +56,6 @@
 // `x <= 0.0` it also rejects NaN parameters.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-mod aco;
 mod baseline;
 mod dnor;
 mod ehtr;
@@ -65,28 +63,20 @@ mod error;
 mod factory;
 mod inor;
 mod memo;
+mod optimum;
 mod runtime;
 mod sensor;
 mod telemetry;
 mod traits;
 
-pub use aco::{AcoConfig, AcoReconfigurer};
 pub use baseline::StaticBaseline;
 pub use dnor::{Dnor, DnorConfig};
 pub use ehtr::Ehtr;
 pub use error::ReconfigError;
 pub use factory::SchemeSpec;
 pub use inor::{Inor, InorConfig};
+pub use optimum::{certified_optimum, CertifiedOptimum, CERTIFIED_GAP};
 pub use runtime::RuntimeStats;
 pub use sensor::{SensorFault, SensorFaultInjector};
 pub use telemetry::{TelemetryBuffer, TelemetryWindow};
 pub use traits::{ReconfigDecision, Reconfigurer};
-
-/// The historical name of [`TelemetryWindow`], kept so the common patterns
-/// of the original unbounded-history API — `ReconfigInputs::new`,
-/// `current_deltas`, `current_temperatures`, `module_series`,
-/// `deltas_from_row` — keep compiling unchanged.  The one removed member is
-/// the `history()` slice accessor, which cannot exist on a ring-buffer
-/// window; iterate [`TelemetryWindow::rows`] or index
-/// [`TelemetryWindow::row`] instead.
-pub type ReconfigInputs<'a> = TelemetryWindow<'a>;

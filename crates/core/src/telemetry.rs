@@ -13,16 +13,8 @@
 //!   ambient) passed to [`Reconfigurer::decide`]; its size is derived from
 //!   the scheme's declared [`Reconfigurer::lookback`].
 //!
-//! [`ReconfigInputs`] survives as an alias of [`TelemetryWindow`], so the
-//! common patterns of the original API (`new`, `current_deltas`,
-//! `module_series`, `deltas_from_row`) keep compiling: a plain slice of rows
-//! is just a window with no wrap-around.  Only the `history()` slice
-//! accessor is gone — a ring window has no single contiguous slice; use
-//! [`TelemetryWindow::rows`] / [`TelemetryWindow::row`] instead.
-//!
 //! [`Reconfigurer::decide`]: crate::Reconfigurer::decide
 //! [`Reconfigurer::lookback`]: crate::Reconfigurer::lookback
-//! [`ReconfigInputs`]: crate::ReconfigInputs
 
 use std::collections::VecDeque;
 

@@ -435,6 +435,18 @@ mod tests {
     }
 
     #[test]
+    fn a_grid_naming_a_retired_scheme_is_refused_as_malformed() {
+        let payload =
+            "id retired\ngrid modules=8|seeds=1|lineup=fixed:search:aco+inor\npolicy measured\n";
+        match SubmitRequest::decode(payload) {
+            Err(WireError::Malformed { reason }) => {
+                assert!(reason.contains("cannot parse value"), "{reason}");
+            }
+            other => panic!("expected a malformed-grid error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn ids_are_validated_on_both_sides() {
         for bad in ["", "has space", "semi;colon", "a/b", &"x".repeat(65)] {
             assert!(validate_id(bad).is_err(), "{bad:?}");

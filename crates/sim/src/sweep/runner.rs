@@ -366,51 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn aco_sweeps_are_workers_independent_and_seed_reproducible() {
-        // The searched scheme draws from a seeded generator per cell: the
-        // report must not depend on how cells are spread over workers, and
-        // rerunning the same grid must be bit-identical.
-        let grid = || {
-            ScenarioGrid::builder()
-                .module_counts([8])
-                .seeds([1, 2])
-                .duration_seconds(6)
-                .lineups([SchemeLineup::parse("fixed:search:aco+inor").unwrap()])
-                .build()
-                .unwrap()
-        };
-        let policy = RuntimePolicy::Fixed(Seconds::new(0.003));
-        let serial = SweepRunner::new()
-            .workers(1)
-            .runtime_policy(policy)
-            .run(&grid())
-            .unwrap();
-        let parallel = SweepRunner::new()
-            .workers(4)
-            .runtime_policy(policy)
-            .run(&grid())
-            .unwrap();
-        assert_eq!(serial, parallel);
-        let again = SweepRunner::new()
-            .workers(4)
-            .runtime_policy(policy)
-            .run(&grid())
-            .unwrap();
-        assert_eq!(parallel, again);
-        let aco = serial.summary("ACO").unwrap();
-        assert_eq!(aco.cells(), 2);
-        // The colony is seeded with INOR's candidates, so per the energy
-        // metric it cannot trail INOR by more than switching-overhead noise.
-        let inor = serial.summary("INOR").unwrap();
-        assert!(
-            aco.mean_net_energy().value() >= 0.95 * inor.mean_net_energy().value(),
-            "ACO {} vs INOR {}",
-            aco.mean_net_energy(),
-            inor.mean_net_energy()
-        );
-    }
-
-    #[test]
     fn a_panicking_scheme_becomes_that_cells_error() {
         let grid = panicking_grid();
         let err = SweepRunner::new().workers(2).run(&grid).unwrap_err();

@@ -417,6 +417,8 @@ mod tests {
             ("var=tol:2:0", "cannot parse value"),
             ("fault=random:worn:heavy", "cannot parse value"),
             ("lineup=fixed:duo:nonesuch", "cannot parse value"),
+            ("lineup=fixed:search:aco+inor", "cannot parse value"),
+            ("lineup=fixed:s:aco:7+inor", "cannot parse value"),
             ("kernel=fast", "unknown axis"),
         ] {
             let err = GridSpec::parse(text).unwrap_err();
@@ -462,13 +464,6 @@ mod tests {
         assert_eq!(duo.spec(), Some("fixed:duo:inor+ehtr"));
         let reparsed = SchemeLineup::parse(duo.spec().unwrap()).unwrap();
         assert_eq!(reparsed.spec(), duo.spec());
-        // The search scheme registers through the same token grammar — a
-        // SUBMIT grid or lineup string gets it with no serve-side changes.
-        let searched = SchemeLineup::parse("fixed:search:aco+inor+ehtr").unwrap();
-        assert_eq!(searched.spec(), Some("fixed:search:aco+inor+ehtr"));
-        assert_eq!(searched.specs(10)[0].name(), "ACO");
-        let seeded = SchemeLineup::parse("fixed:seeded:aco:99+inor").unwrap();
-        assert_eq!(seeded.specs(10)[0].spec(), Some("aco:99"));
         // The bare `baseline` token adapts to the cell's module count.
         let adaptive = SchemeLineup::parse("fixed:solo:baseline").unwrap();
         assert_eq!(adaptive.specs(25)[0].spec(), Some("baseline:25"));

@@ -5,7 +5,7 @@
 
 use teg_harvest::array::{ideal_power, ArraySolver, Configuration, TegArray};
 use teg_harvest::device::{TegDatasheet, TegModule};
-use teg_harvest::reconfig::{Inor, ReconfigInputs, Reconfigurer};
+use teg_harvest::reconfig::{Inor, Reconfigurer, TelemetryWindow};
 use teg_harvest::units::Celsius;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ambient = Celsius::new(25.0);
     let temperatures: Vec<f64> = (0..20).map(|i| 95.0 - 2.2 * i as f64).collect();
     let history = vec![temperatures];
-    let inputs = ReconfigInputs::new(&array, &history, ambient)?;
+    let inputs = TelemetryWindow::new(&array, &history, ambient)?;
     let deltas = inputs.current_deltas();
     let mut solver = ArraySolver::new();
     solver.load(&array, &deltas, None)?;

@@ -1,15 +1,36 @@
 //! Physical invariants checked on every step of every scheme: no wiring
-//! harvests more than the unconstrained ideal, and the net energy of a step
-//! is its gross harvest less the switching overhead charged to it, floored
-//! at zero.  Checked over small seeded arrays, healthy and under severe
-//! degradation, for the scalability lineup and the paper's Table I field.
+//! harvests more than the unconstrained ideal — nor, on a healthy array,
+//! more than the certified optimum over every wiring — and the net energy
+//! of a step is its gross harvest less the switching overhead charged to
+//! it, floored at zero.  Checked over small seeded arrays, healthy and
+//! under severe degradation, for the scalability lineup and the paper's
+//! Table I field.
 
+use teg_harvest::reconfig::{certified_optimum, TelemetryWindow, CERTIFIED_GAP};
 use teg_harvest::sim::{
-    DriveProfile, FaultProfile, GridSpec, RuntimePolicy, SchemeLineup, SimSession,
+    DriveProfile, FaultProfile, GridSpec, RuntimePolicy, Scenario, SchemeLineup, SimSession,
 };
 use teg_harvest::units::{Joules, Seconds};
 
 const CHARGE: Seconds = Seconds::new(0.002);
+
+/// Each step's certified upper bound on the MPP power of every wiring
+/// (group counts `1..=N`) at the step's true ΔT.
+fn optimum_bounds(scenario: &Scenario) -> Vec<f64> {
+    let trace = scenario.thermal_trace().expect("trace");
+    let modules = scenario.module_count();
+    let mut deltas = Vec::with_capacity(modules);
+    (0..trace.len())
+        .map(|i| {
+            deltas.clear();
+            TelemetryWindow::deltas_from_row_into(trace.row(i), trace.ambient(i), &mut deltas);
+            certified_optimum(scenario.array(), &deltas, None, 1..=modules)
+                .expect("oracle")
+                .upper_bound()
+                .value()
+        })
+        .collect()
+}
 
 #[test]
 fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
@@ -30,14 +51,22 @@ fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
 
     let mut steps_checked = 0;
     let mut faulted_steps = 0;
+    let mut optimum_checked = 0;
     for cell in grid.cells() {
         let scenario = grid.scenario(cell);
         let step = scenario.step();
+        // Computed once per step and shared by the lineup's schemes.
+        let bounds = if scenario.fault_plan().events().is_empty() {
+            optimum_bounds(scenario)
+        } else {
+            Vec::new()
+        };
         for spec in grid.lineup(cell).specs(cell.key().module_count()) {
             let mut scheme = spec.build();
             let mut session = SimSession::new(scenario, scheme.as_mut())
                 .expect("session")
                 .with_runtime_policy(RuntimePolicy::Fixed(CHARGE));
+            let mut index = 0;
             while let Some(record) = session.step().expect("step") {
                 let context = format!("{} / {} at t={}", cell.key(), spec.name(), record.time());
                 let ideal = record.ideal_power().value();
@@ -46,6 +75,15 @@ fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
                     "{context}: array power {} exceeds the ideal {ideal}",
                     record.array_power()
                 );
+                if let Some(&bound) = bounds.get(index) {
+                    assert!(
+                        record.array_power().value() <= bound * (1.0 + CERTIFIED_GAP),
+                        "{context}: array power {} exceeds the certified optimum {bound}",
+                        record.array_power()
+                    );
+                    optimum_checked += 1;
+                }
+                index += 1;
                 assert!(record.overhead_energy().value() >= 0.0, "{context}");
                 let gross = record.array_power() * step;
                 let net = (gross - record.overhead_energy()).max(Joules::ZERO);
@@ -61,6 +99,8 @@ fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
     }
     // 24 cells per lineup: 3 schemes + 4 schemes, 30 steps each.
     assert_eq!(steps_checked, 24 * (3 + 4) * 30);
+    // Half the cells are healthy.
+    assert_eq!(optimum_checked, 12 * (3 + 4) * 30);
     assert!(
         faulted_steps > 0,
         "the severe profile must degrade some steps"
