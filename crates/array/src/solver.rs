@@ -11,8 +11,9 @@
 //! sums against them and evaluates the closed form of the
 //! [`TegArray`] model.
 //!
-//! Group sums run in module order, so every solve of one partition at one
-//! ΔT vector produces the same bits whichever entry point asks for it — the
+//! Group sums run in module order — `S_g` and `G_g` in one fused pass, each
+//! its own add chain — so every solve of one partition at one ΔT vector
+//! produces the same bits whichever entry point asks for it — the
 //! golden traces and the property suite below pin this down against an
 //! independent first-principles reference.
 //!
@@ -108,6 +109,8 @@ pub struct ArraySolver {
     g: Vec<f64>,
     ge: Vec<f64>,
     short: Vec<bool>,
+    // Whether any loaded module is shorted: without one, no group can be.
+    any_short: bool,
     // Per-group Norton sums of the most recent evaluation.
     group_s: Vec<f64>,
     group_g: Vec<f64>,
@@ -160,6 +163,7 @@ impl ArraySolver {
         for i in 0..n {
             self.short[i] =
                 faults.is_some_and(|f| f.module_fault(i) == Some(ModuleFault::ShortCircuit));
+            self.any_short |= self.short[i];
             // An open module keeps the zero terms `reset_terms` wrote.
             if let Some((g, e)) = array.module_source(i, deltas[i], faults) {
                 self.g[i] = g;
@@ -177,6 +181,7 @@ impl ArraySolver {
         self.ge.resize(n, 0.0);
         self.short.clear();
         self.short.resize(n, false);
+        self.any_short = false;
     }
 
     /// Analytic maximum power point of one candidate against the loaded
@@ -301,16 +306,18 @@ impl ArraySolver {
     /// modules contribute their `+0.0` terms: a sum that starts at `+0.0`
     /// never becomes `-0.0` under round-to-nearest, so adding `+0.0` is the
     /// identity and skipping them would give the same bits.
+    ///
+    /// `S_g` and `G_g` are two independent add chains, each in module
+    /// order; one fused pass lets them overlap without reordering either.
+    /// The short flags are scanned only when the loaded state has a short.
     fn sum_range(&self, start: usize, end: usize) -> (f64, f64, bool) {
-        let mut s_g = 0.0;
-        for &ge in &self.ge[start..end] {
+        let (mut s_g, mut g_g) = (0.0, 0.0);
+        for (&ge, &g) in self.ge[start..end].iter().zip(&self.g[start..end]) {
             s_g += ge;
-        }
-        let mut g_g = 0.0;
-        for &g in &self.g[start..end] {
             g_g += g;
         }
-        (s_g, g_g, self.short[start..end].contains(&true))
+        let shorted = self.any_short && self.short[start..end].contains(&true);
+        (s_g, g_g, shorted)
     }
 
     /// Solves the operating point at an imposed current from the
@@ -435,6 +442,15 @@ mod tests {
         point.current().value().to_bits() == reference.current.to_bits()
             && point.voltage().value().to_bits() == reference.voltage.to_bits()
             && point.power().value().to_bits() == reference.power.to_bits()
+    }
+
+    /// The bits of a point's current, voltage and power.
+    fn point_bits(point: SolvedPoint) -> [u64; 3] {
+        [
+            point.current().value().to_bits(),
+            point.voltage().value().to_bits(),
+            point.power().value().to_bits(),
+        ]
     }
 
     #[test]
@@ -638,6 +654,50 @@ mod tests {
             }
             let power = mpp_power_from_group_sums(&group_s, &group_g);
             prop_assert_eq!(power.value().to_bits(), expected.value().to_bits());
+        }
+
+        /// A warm solver that last loaded a state with a shorted module
+        /// solves a later healthy state exactly like a fresh solver: the
+        /// short flag of the earlier load never leaks into the next.
+        #[test]
+        fn prop_a_short_never_outlives_its_load(
+            n in 2usize..24,
+            base in 0.0_f64..80.0,
+            span in -30.0_f64..50.0,
+            partition_seed in 0u64..u64::MAX,
+            fault_mask in 0u64..u64::MAX,
+            shorted in 0usize..24,
+            frac in 0.0_f64..2.0,
+        ) {
+            let array = TegArray::uniform(module(), n);
+            let deltas = gradient_deltas(n, base, span);
+            let mut faults = fault_pattern(n, fault_mask);
+            faults.set_module_fault(shorted % n, ModuleFault::ShortCircuit).unwrap();
+            let mut candidates: Vec<_> = (1..=n)
+                .map(|groups| Configuration::uniform(n, groups).unwrap())
+                .collect();
+            candidates.push(partition_from_mask(n, partition_seed));
+
+            let mut warm = ArraySolver::new();
+            warm.load(&array, &deltas, Some(&faults)).unwrap();
+            for candidate in &candidates {
+                warm.mpp(candidate).unwrap();
+            }
+            let later = gradient_deltas(n, base + 3.0, span);
+            let mut fresh = ArraySolver::new();
+            for active in [None, Some(&FaultState::healthy(n))] {
+                warm.load(&array, &later, active).unwrap();
+                fresh.load(&array, &later, active).unwrap();
+                for candidate in &candidates {
+                    let expected = fresh.mpp(candidate).unwrap();
+                    prop_assert_eq!(point_bits(warm.mpp(candidate).unwrap()), point_bits(expected));
+                    let probe = expected.current() * frac;
+                    prop_assert_eq!(
+                        point_bits(warm.operate_at(candidate, probe).unwrap()),
+                        point_bits(fresh.operate_at(candidate, probe).unwrap())
+                    );
+                }
+            }
         }
 
         /// Terms loaded once per ΔT vector and solved per wiring match the

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use teg_array::{ArraySolver, Configuration, SwitchingOverheadModel};
-use teg_predict::{MultipleLinearRegression, PredictError, Predictor};
+use teg_predict::{MultipleLinearRegression, Predictor};
 use teg_units::{Joules, Seconds, TemperatureDelta, Watts};
 
 use crate::error::ReconfigError;
@@ -208,12 +208,14 @@ pub struct Dnor {
     periods_until_evaluation: usize,
     evaluations: usize,
     switches: usize,
-    // Evaluation scratch, reused across evaluations: the solver that
-    // integrates the predicted energies, the forecast rows, one module's
-    // rolling forecast window, and the current and predicted ΔT rows.
+    // Evaluation scratch, reused across evaluations: the shared MLR (refit
+    // on every evaluation) and its training series, the solver that
+    // integrates the predicted energies, the forecast rows, and the current
+    // and predicted ΔT rows.
+    model: MultipleLinearRegression,
+    series: Vec<f64>,
     solver: ArraySolver,
     forecast: Vec<Vec<f64>>,
-    rolling: Vec<f64>,
     current_deltas: Vec<TemperatureDelta>,
     row_deltas: Vec<TemperatureDelta>,
 }
@@ -235,15 +237,18 @@ impl Dnor {
     #[must_use]
     pub fn new(config: DnorConfig) -> Self {
         let inner = Inor::new(config.inor().clone());
+        let model = MultipleLinearRegression::new(config.prediction_window())
+            .expect("window validated at construction");
         Self {
             config,
             inner,
             periods_until_evaluation: 0,
             evaluations: 0,
             switches: 0,
+            model,
+            series: Vec::new(),
             solver: ArraySolver::new(),
             forecast: Vec::new(),
-            rolling: Vec::new(),
             current_deltas: Vec::new(),
             row_deltas: Vec::new(),
         }
@@ -279,13 +284,15 @@ impl Dnor {
     /// temperature), which is also what the paper's controller would do
     /// before its history buffer fills.
     ///
-    /// The MLR reads only the trailing `ar_window` samples, so those rows are
-    /// gathered once and each module rolls its forecast through one reused
-    /// buffer — its trailing window followed by the predictions so far.
-    /// Each step calls `predict_next` on exactly the window
-    /// `Predictor::forecast` would pass it, so the rows are bit-identical to
-    /// forecasting every module's full series.  The rows are written into
-    /// the scheme's reused forecast buffer.
+    /// The MLR reads only the trailing `ar_window` samples, and one model
+    /// serves every module, so each forecast row is computed lag by lag
+    /// across all modules at once: every slot starts at `-0.0`, adds
+    /// `x_k·w_k` in lag order (`x_k` from the trailing rows, then from the
+    /// rows predicted so far) and finally the intercept.  That is exactly
+    /// the sum `predict_next` forms per module, so the rows are
+    /// bit-identical to forecasting every module's full series with
+    /// `Predictor::forecast`, while the inner loop runs across modules.  The
+    /// rows are written into the scheme's reused forecast buffer.
     fn predict_rows(&mut self, window: &TelemetryWindow<'_>) -> &[Vec<f64>] {
         let horizon = self.config.prediction_horizon;
         let ar_window = self.config.prediction_window;
@@ -293,42 +300,42 @@ impl Dnor {
         let latest = window.current_temperatures();
         let rows = &mut self.forecast;
         rows.resize_with(horizon, Vec::new);
-        for row in rows.iter_mut() {
-            row.clear();
-            row.extend_from_slice(latest);
+
+        let fitted = history_len >= ar_window + 2 && {
+            window.module_series_into(0, &mut self.series);
+            self.model.fit(&self.series).is_ok()
+        };
+        if !fitted {
+            for row in rows.iter_mut() {
+                row.clear();
+                row.extend_from_slice(latest);
+            }
+            return rows;
         }
 
-        let shared_model = if history_len >= ar_window + 2 {
-            let mut mlr =
-                MultipleLinearRegression::new(ar_window).expect("window validated at construction");
-            mlr.fit(&window.module_series(0)).ok().map(|()| mlr)
-        } else {
-            None
-        };
-        let Some(model) = shared_model else {
-            return rows;
-        };
-
-        let tail: Vec<&[f64]> = (history_len - ar_window..history_len)
-            .map(|index| window.row(index))
-            .collect();
-        let rolling = &mut self.rolling;
-        rolling.clear();
-        rolling.resize(ar_window + horizon, 0.0);
-        for module in 0..latest.len() {
-            for (slot, row) in rolling.iter_mut().zip(&tail) {
-                *slot = row[module];
-            }
-            let rolled = (0..horizon).try_for_each(|step| {
-                rolling[ar_window + step] = model.predict_next(&rolling[step..ar_window + step])?;
-                Ok::<(), PredictError>(())
-            });
-            // A failed step leaves the whole module on persistence, as a
-            // failed `forecast` did.
-            if rolled.is_ok() {
-                for (row, &value) in rows.iter_mut().zip(&rolling[ar_window..]) {
-                    row[module] = value;
+        let coefficients = self.model.coefficients().expect("fitted above");
+        let (weights, intercept) = coefficients.split_at(ar_window);
+        let intercept = intercept[0];
+        for step in 0..horizon {
+            let (predicted, rest) = rows.split_at_mut(step);
+            let row = &mut rest[0];
+            row.clear();
+            row.resize(latest.len(), -0.0);
+            for (lag, &weight) in weights.iter().enumerate() {
+                // Position `step + lag` of the sequence "trailing rows, then
+                // predictions" — the window `predict_next` sees at `step`.
+                let k = step + lag;
+                let inputs = if k < ar_window {
+                    window.row(history_len - ar_window + k)
+                } else {
+                    predicted[k - ar_window].as_slice()
+                };
+                for (slot, &x) in row.iter_mut().zip(inputs) {
+                    *slot += x * weight;
                 }
+            }
+            for slot in row.iter_mut() {
+                *slot += intercept;
             }
         }
         rows
@@ -546,6 +553,22 @@ mod tests {
                         "{modules} modules, {steps} rows"
                     );
                 }
+                // Sensor dropouts inside the forecast's trailing rows: from
+                // the second-to-last row on, every fifth module (the fitted
+                // entrance module included) reads the ambient.
+                let steps = config.lookback();
+                let mut history = textured_history(modules, steps);
+                for row in &mut history[steps - 2..] {
+                    for reading in row.iter_mut().step_by(5) {
+                        *reading = 25.0;
+                    }
+                }
+                let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+                assert_eq!(
+                    bits(dnor.predict_rows(&inputs)),
+                    bits(&oracle_rows(&dnor, &inputs)),
+                    "{modules} modules, dropout rows"
+                );
                 // A full ring buffer whose window spans the wrap-around.
                 let mut buffer = TelemetryBuffer::new(modules, config.lookback()).unwrap();
                 for row in textured_history(modules, config.lookback() + 13) {

@@ -348,8 +348,21 @@ impl<'a> TelemetryWindow<'a> {
     /// `0..array.len()`.
     #[must_use]
     pub fn module_series(&self, module_index: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.history_len());
+        self.module_series_into(module_index, &mut out);
+        out
+    }
+
+    /// [`TelemetryWindow::module_series`] into a reused buffer (cleared
+    /// first): the same values, without allocating once `out` has grown.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `module_index` is out of range.
+    pub fn module_series_into(&self, module_index: usize, out: &mut Vec<f64>) {
         assert!(module_index < self.array.len(), "module index out of range");
-        self.rows().map(|row| row[module_index]).collect()
+        out.clear();
+        out.extend(self.rows().map(|row| row[module_index]));
     }
 }
 

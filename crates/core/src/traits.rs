@@ -137,6 +137,14 @@ pub trait Reconfigurer: Send {
     /// configuration presently wired, and schemes that decide not to change
     /// anything return [`ReconfigDecision::keep`] instead of cloning it.
     ///
+    /// A scheme sees telemetry only — the temperature rows as the sensors
+    /// report them, corruption included — and never the plant's electrical
+    /// [`FaultState`](teg_array::FaultState).  Every scheme therefore
+    /// decides fault-blind: open, shorted or derated modules and stuck
+    /// switches act only when the plant solves the realised wiring (see the
+    /// README section "Fault scenarios: degraded arrays and lying
+    /// sensors").
+    ///
     /// # Errors
     ///
     /// Implementations return [`ReconfigError`] when the inputs are

@@ -31,10 +31,7 @@ use crate::error::PredictError;
 /// # Ok(())
 /// # }
 /// ```
-// Gaussian elimination over parallel row/column tables reads clearest with
-// explicit indices.
-#[allow(clippy::needless_range_loop)]
-pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, PredictError> {
+pub fn solve(a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, PredictError> {
     let n = a.len();
     if b.len() != n {
         return Err(PredictError::DimensionMismatch {
@@ -42,54 +39,83 @@ pub fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, PredictE
             right: b.len(),
         });
     }
-    for (i, row) in a.iter().enumerate() {
+    for row in &a {
         if row.len() != n {
             return Err(PredictError::DimensionMismatch {
                 left: n,
-                right: a[i].len(),
+                right: row.len(),
             });
         }
     }
+    let mut flat = a.concat();
+    solve_in_place(&mut flat, &mut b)?;
+    Ok(b)
+}
 
+/// [`solve`] on a row-major `n × n` matrix `a` with `n = b.len()`: the same
+/// pivots and the same operations in the same order, so the same bits, with
+/// no allocation.  Both `a` and `b` are overwritten; on success `b` holds
+/// the solution `x`.
+///
+/// # Errors
+///
+/// Returns [`PredictError::DimensionMismatch`] if `a.len() != b.len()²` and
+/// [`PredictError::SingularSystem`] if a pivot collapses to (numerical)
+/// zero.
+// Gaussian elimination over parallel row/column tables reads clearest with
+// explicit indices.
+#[allow(clippy::needless_range_loop)]
+pub fn solve_in_place(a: &mut [f64], b: &mut [f64]) -> Result<(), PredictError> {
+    let n = b.len();
+    if a.len() != n * n {
+        return Err(PredictError::DimensionMismatch {
+            left: n * n,
+            right: a.len(),
+        });
+    }
     for col in 0..n {
         // Partial pivoting: bring the largest remaining entry to the diagonal.
         let pivot_row = (col..n)
             .max_by(|&i, &j| {
-                a[i][col]
+                a[i * n + col]
                     .abs()
-                    .partial_cmp(&a[j][col].abs())
+                    .partial_cmp(&a[j * n + col].abs())
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("non-empty range");
-        if a[pivot_row][col].abs() < 1e-12 {
+        if a[pivot_row * n + col].abs() < 1e-12 {
             return Err(PredictError::SingularSystem);
         }
-        a.swap(col, pivot_row);
-        b.swap(col, pivot_row);
+        if pivot_row != col {
+            for k in 0..n {
+                a.swap(col * n + k, pivot_row * n + k);
+            }
+            b.swap(col, pivot_row);
+        }
 
-        let pivot = a[col][col];
+        let pivot = a[col * n + col];
         for row in (col + 1)..n {
-            let factor = a[row][col] / pivot;
+            let factor = a[row * n + col] / pivot;
             if factor == 0.0 {
                 continue;
             }
             for k in col..n {
-                a[row][k] -= factor * a[col][k];
+                a[row * n + k] -= factor * a[col * n + k];
             }
             b[row] -= factor * b[col];
         }
     }
 
-    // Back substitution.
-    let mut x = vec![0.0; n];
+    // Back substitution; `b[col]` already holds `x[col]` for every
+    // `col > row`.
     for row in (0..n).rev() {
         let mut acc = b[row];
         for col in (row + 1)..n {
-            acc -= a[row][col] * x[col];
+            acc -= a[row * n + col] * b[col];
         }
-        x[row] = acc / a[row][row];
+        b[row] = acc / a[row * n + row];
     }
-    Ok(x)
+    Ok(())
 }
 
 /// Computes `XᵀX + λI` for a design matrix stored row-wise.
@@ -218,7 +244,86 @@ mod tests {
         assert_eq!(dot(&[], &[]), 0.0);
     }
 
+    /// The nested-`Vec` elimination `solve` ran before it moved onto one
+    /// flat buffer, kept as the oracle of [`solve_in_place`].
+    #[allow(clippy::needless_range_loop)]
+    fn nested_solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, PredictError> {
+        let n = a.len();
+        for col in 0..n {
+            let pivot_row = (col..n)
+                .max_by(|&i, &j| {
+                    a[i][col]
+                        .abs()
+                        .partial_cmp(&a[j][col].abs())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .expect("non-empty range");
+            if a[pivot_row][col].abs() < 1e-12 {
+                return Err(PredictError::SingularSystem);
+            }
+            a.swap(col, pivot_row);
+            b.swap(col, pivot_row);
+            let pivot = a[col][col];
+            for row in (col + 1)..n {
+                let factor = a[row][col] / pivot;
+                if factor == 0.0 {
+                    continue;
+                }
+                for k in col..n {
+                    a[row][k] -= factor * a[col][k];
+                }
+                b[row] -= factor * b[col];
+            }
+        }
+        let mut x = vec![0.0; n];
+        for row in (0..n).rev() {
+            let mut acc = b[row];
+            for col in (row + 1)..n {
+                acc -= a[row][col] * x[col];
+            }
+            x[row] = acc / a[row][row];
+        }
+        Ok(x)
+    }
+
+    #[test]
+    fn solve_in_place_rejects_a_non_square_buffer() {
+        assert!(matches!(
+            solve_in_place(&mut [1.0, 0.0, 0.0], &mut [1.0, 2.0]),
+            Err(PredictError::DimensionMismatch { left: 4, right: 3 })
+        ));
+    }
+
     proptest! {
+        /// The flat elimination returns the nested one's solution bit for
+        /// bit (or its error) on arbitrary systems, where pivoting swaps
+        /// rows, and on systems with repeated rows and zero columns, where
+        /// pivots tie or collapse.
+        #[test]
+        fn prop_flat_solve_matches_the_nested_solve(
+            n in 1usize..8,
+            entries in proptest::collection::vec(-50.0_f64..50.0, 64),
+            rhs in proptest::collection::vec(-50.0_f64..50.0, 8),
+            degenerate in 0u64..u64::MAX,
+        ) {
+            let mut a: Vec<Vec<f64>> = (0..n)
+                .map(|i| entries[i * 8..i * 8 + n].to_vec())
+                .collect();
+            if degenerate % 3 == 1 && n > 1 {
+                a[n - 1] = a[0].clone();
+            } else if degenerate % 3 == 2 {
+                for row in &mut a {
+                    row[(degenerate as usize / 3) % n] = 0.0;
+                }
+            }
+            let b = rhs[..n].to_vec();
+            let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let expected = nested_solve(a.clone(), b.clone()).map(bits);
+            let (mut flat, mut x) = (a.concat(), b);
+            let solved = solve_in_place(&mut flat, &mut x).map(|()| bits(x));
+            prop_assert_eq!(solved, expected);
+        }
+
         /// Solving `A·x = A·x0` recovers `x0` for well conditioned diagonally
         /// dominant matrices.
         #[test]

@@ -1,7 +1,7 @@
 //! Multiple linear regression (the predictor the paper selects).
 
 use crate::error::PredictError;
-use crate::linalg::{dot, solve};
+use crate::linalg::{dot, solve_in_place};
 use crate::predictor::Predictor;
 
 /// Autoregressive multiple linear regression fitted by ridge-regularised
@@ -33,11 +33,24 @@ use crate::predictor::Predictor;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MultipleLinearRegression {
     window: usize,
     ridge: f64,
     coefficients: Option<Vec<f64>>,
+    // Fit scratch, reused across fits: the row-major `XᵀX + λI` followed by
+    // `Xᵀy`, which the solve overwrites with the coefficients.
+    system: Vec<f64>,
+}
+
+/// The fit scratch holds no state between fits, so it stays out of model
+/// identity.
+impl PartialEq for MultipleLinearRegression {
+    fn eq(&self, other: &Self) -> bool {
+        self.window == other.window
+            && self.ridge == other.ridge
+            && self.coefficients == other.coefficients
+    }
 }
 
 impl MultipleLinearRegression {
@@ -74,6 +87,7 @@ impl MultipleLinearRegression {
             window,
             ridge,
             coefficients: None,
+            system: Vec::new(),
         })
     }
 
@@ -104,6 +118,9 @@ impl Predictor for MultipleLinearRegression {
     /// [`design_times_targets`](crate::linalg::design_times_targets) use
     /// over a [`SlidingWindowDataset`](crate::SlidingWindowDataset), so the
     /// coefficients are the same bits without building the design matrix.
+    /// The system lives in one flat buffer reused across fits, so a refit
+    /// of a fitted model allocates nothing.  A failed solve keeps the
+    /// previous coefficients.
     fn fit(&mut self, series: &[f64]) -> Result<(), PredictError> {
         let window = self.window;
         let needed = window + 1;
@@ -114,14 +131,15 @@ impl Predictor for MultipleLinearRegression {
             });
         }
         let cols = window + 1;
-        let mut gram = vec![vec![0.0; cols]; cols];
-        let mut rhs = vec![0.0; cols];
+        self.system.clear();
+        self.system.resize(cols * cols + cols, 0.0);
+        let (gram, rhs) = self.system.split_at_mut(cols * cols);
         for start in 0..=(series.len() - needed) {
             let lags = &series[start..start + window];
             let target = series[start + window];
             // Column `window` is the bias.
             let x = |i: usize| if i < window { lags[i] } else { 1.0 };
-            for (i, gram_row) in gram.iter_mut().enumerate() {
+            for (i, gram_row) in gram.chunks_exact_mut(cols).enumerate() {
                 let xi = x(i);
                 for (j, entry) in gram_row.iter_mut().enumerate() {
                     *entry += xi * x(j);
@@ -129,10 +147,13 @@ impl Predictor for MultipleLinearRegression {
                 rhs[i] += xi * target;
             }
         }
-        for (i, row) in gram.iter_mut().enumerate() {
-            row[i] += self.ridge;
+        for i in 0..cols {
+            gram[i * cols + i] += self.ridge;
         }
-        self.coefficients = Some(solve(gram, rhs)?);
+        solve_in_place(gram, rhs)?;
+        let coefficients = self.coefficients.get_or_insert_with(Vec::new);
+        coefficients.clear();
+        coefficients.extend_from_slice(rhs);
         Ok(())
     }
 
@@ -161,7 +182,7 @@ impl Predictor for MultipleLinearRegression {
 mod tests {
     use super::*;
     use crate::dataset::SlidingWindowDataset;
-    use crate::linalg::{design_times_targets, gram_matrix};
+    use crate::linalg::{design_times_targets, gram_matrix, solve};
     use crate::metrics::mape;
     use proptest::prelude::*;
 
@@ -289,7 +310,76 @@ mod tests {
         }
     }
 
+    /// The nested-`Vec` accumulation `fit` used before its system moved
+    /// into one flat buffer, kept as its oracle.
+    fn nested_fit(window: usize, ridge: f64, series: &[f64]) -> Result<Vec<f64>, PredictError> {
+        let needed = window + 1;
+        if series.len() < needed {
+            return Err(PredictError::InsufficientData {
+                needed,
+                available: series.len(),
+            });
+        }
+        let cols = window + 1;
+        let mut gram = vec![vec![0.0; cols]; cols];
+        let mut rhs = vec![0.0; cols];
+        for start in 0..=(series.len() - needed) {
+            let lags = &series[start..start + window];
+            let target = series[start + window];
+            let x = |i: usize| if i < window { lags[i] } else { 1.0 };
+            for (i, gram_row) in gram.iter_mut().enumerate() {
+                let xi = x(i);
+                for (j, entry) in gram_row.iter_mut().enumerate() {
+                    *entry += xi * x(j);
+                }
+                rhs[i] += xi * target;
+            }
+        }
+        for (i, row) in gram.iter_mut().enumerate() {
+            row[i] += ridge;
+        }
+        solve(gram, rhs)
+    }
+
+    #[test]
+    fn a_failed_refit_keeps_the_previous_coefficients() {
+        let ramp: Vec<f64> = (0..20).map(f64::from).collect();
+        let mut m = MultipleLinearRegression::with_ridge(1, 0.0).unwrap();
+        m.fit(&ramp).unwrap();
+        let fitted = m.coefficients().unwrap().to_vec();
+        // A constant series makes `XᵀX` singular without a ridge term.
+        assert_eq!(m.fit(&[4.0; 12]), Err(PredictError::SingularSystem));
+        assert_eq!(m.coefficients(), Some(fitted.as_slice()));
+    }
+
     proptest! {
+        /// The flat-buffer `fit`, fresh and as a refit of a model fitted on
+        /// another series, gives the nested-`Vec` fit's coefficients bit
+        /// for bit (or its error).
+        #[test]
+        fn prop_flat_fit_matches_the_nested_fit(
+            window in 1usize..9,
+            series in collection::vec(-200.0_f64..200.0, 1..80),
+            earlier in collection::vec(-200.0_f64..200.0, 10..40),
+            ridge in 0.0_f64..1e-3,
+        ) {
+            let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut fresh = MultipleLinearRegression::with_ridge(window, ridge).unwrap();
+            let mut refit = fresh.clone();
+            let _ = refit.fit(&earlier);
+            let expected = nested_fit(window, ridge, &series);
+            for m in [&mut fresh, &mut refit] {
+                match (m.fit(&series), &expected) {
+                    (Ok(()), Ok(expected)) => {
+                        prop_assert_eq!(bits(m.coefficients().unwrap()), bits(expected));
+                    }
+                    (fitted, expected) => {
+                        prop_assert_eq!(fitted, expected.clone().map(|_| ()));
+                    }
+                }
+            }
+        }
+
         /// Accumulating the normal equations straight from the windows
         /// gives the oracle's coefficients bit for bit (or its error), on
         /// arbitrary series and on a slowly drifting, nearly collinear

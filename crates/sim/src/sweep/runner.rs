@@ -86,8 +86,12 @@ impl SweepRunner {
     /// Replaces the runtime-accounting policy every cell runs under.
     /// [`RuntimePolicy::Fixed`] makes the sweep bit-reproducible for any
     /// worker count, provided the schemes decide purely from telemetry
-    /// (INOR, EHTR, the baseline do; DNOR's switch economics consult its
-    /// own measured runtime, so it reproduces only up to timing jitter).
+    /// (INOR, EHTR, the baseline do; plain `dnor`'s switch economics consult
+    /// its own measured runtime, so it reproduces only up to timing
+    /// jitter).  `dnor-det:<seconds>`
+    /// ([`SchemeSpec::dnor_deterministic`](teg_reconfig::SchemeSpec::dnor_deterministic))
+    /// charges a fixed computation time instead and is exact: its decisions
+    /// are pure functions of the telemetry.
     #[must_use]
     pub fn runtime_policy(mut self, policy: RuntimePolicy) -> Self {
         self.runtime_policy = policy;

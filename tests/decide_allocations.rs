@@ -5,9 +5,10 @@
 //! * INOR on a new ΔT row allocates exactly the returned `Configuration`
 //!   and the memo's copy of it: the ΔT row, the module terms and the
 //!   candidate buffers are all reused.
-//! * A DNOR evaluation allocates nothing that scales with the module count:
-//!   its solver, forecast rows and ΔT rows are reused, so what remains (the
-//!   MLR fit, INOR's winner) is smaller than one per-module `f64` buffer.
+//! * A DNOR evaluation allocates exactly INOR's candidate `Configuration`:
+//!   its MLR model and training series, solver, forecast rows and ΔT rows
+//!   are all reused, and that one allocation is smaller than one
+//!   per-module `f64` buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,8 +134,9 @@ fn dnor_evaluation_allocates_no_per_module_buffer() {
         assert!(!dnor.decide(&earlier, &current).expect("decide").evaluated());
     }
 
-    let (decision, _, bytes) = counted(|| dnor.decide(&later, &current));
+    let (decision, allocations, bytes) = counted(|| dnor.decide(&later, &current));
     assert!(decision.expect("decide").evaluated());
+    assert_eq!(allocations, 1, "only INOR's candidate Configuration");
     let per_module_buffer = MODULES * std::mem::size_of::<f64>();
     assert!(
         bytes < per_module_buffer,
