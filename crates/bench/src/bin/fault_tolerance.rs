@@ -29,7 +29,7 @@ fn sweep(label: &str, severity: FaultSeverity) -> SweepReport {
         } else {
             FaultProfile::random(label.to_owned(), severity)
         }])
-        .lineups([SchemeLineup::paper_fixed(FIXED_CHARGE)])
+        .lineups([SchemeLineup::paper()])
         .build()
         .expect("valid grid");
     let report = SweepRunner::new()

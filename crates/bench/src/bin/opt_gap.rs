@@ -75,7 +75,7 @@ impl Case {
     /// into the case.
     fn add(&mut self, scenario: &Scenario) {
         let modules = scenario.module_count();
-        let field = SchemeSpec::paper_field_fixed(modules, CHARGE);
+        let field = SchemeSpec::paper_field(modules);
         let report = Comparison::from_specs(scenario, &field)
             .runtime_policy(RuntimePolicy::Fixed(CHARGE))
             .run()

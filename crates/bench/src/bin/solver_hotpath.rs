@@ -5,9 +5,17 @@
 //! `compiled` column: one `ArraySolver::load` + `evaluate_candidates` for
 //! the whole candidate set).  For INOR it also times
 //! the fused scan, `Inor::optimise_with`, which partitions and evaluates
-//! every candidate in one pass; its `fused_ns` covers the whole decision
-//! (bounds, partitions and scoring), where the other two columns time only
-//! the scoring of ready-made candidates.
+//! every candidate in one pass; its `fused_ns` (and `fused_over_compiled`,
+//! its ratio to the batch scan) covers the whole decision (bounds,
+//! partitions and scoring), where the other two columns time only the
+//! scoring of ready-made candidates.
+//!
+//! The compared paths of one case run interleaved: each of seven rounds
+//! times one adaptively sized batch of every path, rotating which path runs
+//! first, and each ratio is the median of the seven per-round ratios.  A
+//! load spike on a shared host then hits both sides of a round instead of
+//! one path's whole window, so the ratios are what the binary reports; the
+//! absolute nanoseconds (each path's median round) are display-only.
 //!
 //! Emits a machine-readable `BENCH_solver.json` next to the working
 //! directory (and a human-readable table on stdout) so CI can archive the
@@ -31,35 +39,60 @@ struct Case {
     scheme: &'static str,
     modules: usize,
     candidates: usize,
+    /// Each path's median round; display-only.
     legacy_ns: f64,
     compiled_ns: f64,
-    /// INOR only: one whole `Inor::optimise_with`.
-    fused_ns: Option<f64>,
+    /// Median of the per-round `legacy / compiled` ratios.
+    speedup: f64,
+    /// INOR only: one whole `Inor::optimise_with` as its median round and
+    /// the median of its per-round ratios to the batch scan.
+    fused: Option<(f64, f64)>,
 }
 
-impl Case {
-    fn speedup(&self) -> f64 {
-        self.legacy_ns / self.compiled_ns
-    }
+/// Timing rounds per case.
+const ROUNDS: usize = 7;
+
+fn median(mut values: [f64; ROUNDS]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[ROUNDS / 2]
 }
 
-/// Times one full candidate scan: best-of-seven samples of an adaptively
-/// sized batch, reported as nanoseconds per scan.
-fn time_scan_ns<F: FnMut()>(mut scan: F) -> f64 {
-    let start = Instant::now();
-    scan();
-    let estimate = start.elapsed().max(Duration::from_nanos(100));
+/// Times the compared scans of one case in the same rounds.  Each scan
+/// gets an adaptively sized batch of about 25 ms; every round runs each
+/// batch once, starting at a different scan, and records nanoseconds per
+/// scan.  Returns `rounds[path][round]`.
+// `round` sets the rotation as well as indexing each path's row.
+#[allow(clippy::needless_range_loop)]
+fn time_rounds_ns(scans: &mut [&mut dyn FnMut()]) -> Vec<[f64; ROUNDS]> {
     let budget = Duration::from_millis(25).as_secs_f64();
-    let iters = ((budget / estimate.as_secs_f64()).ceil() as u64).clamp(1, 1_000_000);
-    let mut best = f64::INFINITY;
-    for _ in 0..7 {
-        let start = Instant::now();
-        for _ in 0..iters {
+    let iters: Vec<u64> = scans
+        .iter_mut()
+        .map(|scan| {
+            let start = Instant::now();
             scan();
+            let estimate = start.elapsed().max(Duration::from_nanos(100));
+            ((budget / estimate.as_secs_f64()).ceil() as u64).clamp(1, 1_000_000)
+        })
+        .collect();
+    let mut rounds = vec![[0.0; ROUNDS]; scans.len()];
+    for round in 0..ROUNDS {
+        for offset in 0..scans.len() {
+            let path = (round + offset) % scans.len();
+            let start = Instant::now();
+            for _ in 0..iters[path] {
+                scans[path]();
+            }
+            rounds[path][round] = start.elapsed().as_secs_f64() / iters[path] as f64 * 1e9;
         }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
     }
-    best * 1e9
+    rounds
+}
+
+/// The median of the per-round ratios `numerator / denominator`.
+fn ratio(numerator: &[f64; ROUNDS], denominator: &[f64; ROUNDS]) -> f64 {
+    median(std::array::from_fn(|round| {
+        numerator[round] / denominator[round]
+    }))
 }
 
 /// The candidate set a scheme would scan: one partition per feasible group
@@ -140,68 +173,80 @@ fn measure(scheme: &'static str, modules: usize) -> Case {
         );
     }
 
-    let legacy_ns = time_scan_ns(|| {
+    let mut legacy = || {
         let mut acc = 0.0;
         for candidate in &candidates {
             acc += one_off_mpp_power(&array, black_box(candidate), &deltas);
         }
         black_box(acc);
-    });
-    let compiled_ns = time_scan_ns(|| {
+    };
+    let mut compiled = || {
         solver.load(&array, &deltas, None).expect("load");
         solver
             .evaluate_candidates(black_box(&candidates), &mut powers)
             .expect("batch evaluation");
         black_box(&powers);
-    });
-    let fused_ns = (scheme == "INOR").then(|| {
-        time_scan_ns(|| {
-            black_box(
-                inor.optimise_with(&array, black_box(&deltas))
-                    .expect("fused scan"),
-            );
-        })
-    });
+    };
+    let mut fused = || {
+        black_box(
+            inor.optimise_with(&array, black_box(&deltas))
+                .expect("fused scan"),
+        );
+    };
+    let rounds = if scheme == "INOR" {
+        time_rounds_ns(&mut [&mut legacy, &mut compiled, &mut fused])
+    } else {
+        time_rounds_ns(&mut [&mut legacy, &mut compiled])
+    };
 
     Case {
         scheme,
         modules,
         candidates: candidates.len(),
-        legacy_ns,
-        compiled_ns,
-        fused_ns,
+        legacy_ns: median(rounds[0]),
+        compiled_ns: median(rounds[1]),
+        speedup: ratio(&rounds[0], &rounds[1]),
+        fused: rounds
+            .get(2)
+            .map(|fused| (median(*fused), ratio(fused, &rounds[1]))),
     }
 }
 
 fn render_json(cases: &[Case]) -> String {
     let min_speedup = cases
         .iter()
-        .map(Case::speedup)
+        .map(|c| c.speedup)
         .fold(f64::INFINITY, f64::min);
-    let mean_speedup = cases.iter().map(Case::speedup).sum::<f64>() / cases.len().max(1) as f64;
+    let mean_speedup = cases.iter().map(|c| c.speedup).sum::<f64>() / cases.len().max(1) as f64;
     let mut out = String::from("{\n  \"bench\": \"solver_hotpath\",\n");
     let _ = writeln!(
         out,
         "  \"available_parallelism\": {},",
         available_parallelism()
     );
-    out.push_str("  \"unit\": \"ns_per_candidate_scan\",\n  \"cases\": [\n");
+    let _ = writeln!(
+        out,
+        "  \"unit\": \"ns_per_candidate_scan\",\n  \"rounds\": {ROUNDS},\n  \
+         \"note\": \"ratios are medians of same-round ratios; *_ns are display-only\",\n  \
+         \"cases\": ["
+    );
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 < cases.len() { "," } else { "" };
-        let fused = case
-            .fused_ns
-            .map_or_else(|| "null".to_owned(), |ns| format!("{ns:.1}"));
+        let (fused_ns, fused_over_compiled) = case.fused.map_or_else(
+            || ("null".to_owned(), "null".to_owned()),
+            |(ns, ratio)| (format!("{ns:.1}"), format!("{ratio:.2}")),
+        );
         let _ = writeln!(
             out,
             "    {{\"scheme\": \"{}\", \"modules\": {}, \"candidates\": {}, \
              \"legacy_ns\": {:.1}, \"compiled_ns\": {:.1}, \"speedup\": {:.2}, \
-             \"fused_ns\": {fused}}}{comma}",
+             \"fused_ns\": {fused_ns}, \"fused_over_compiled\": {fused_over_compiled}}}{comma}",
             case.scheme,
             case.modules,
             case.candidates,
             case.legacy_ns,
             case.compiled_ns,
-            case.speedup(),
+            case.speedup,
         );
     }
     let _ = writeln!(
@@ -222,23 +267,26 @@ fn main() -> ExitCode {
     }
 
     println!("# Candidate-scan hot path: one batch scan vs one-off solves per candidate");
-    println!("scheme,modules,candidates,legacy_ns,compiled_ns,speedup,fused_ns");
+    println!(
+        "scheme,modules,candidates,legacy_ns,compiled_ns,speedup,fused_ns,fused_over_compiled"
+    );
     for case in &cases {
+        let fused = case
+            .fused
+            .map_or_else(String::new, |(ns, ratio)| format!("{ns:.1},{ratio:.2}"));
         println!(
-            "{},{},{},{:.1},{:.1},{:.2},{}",
+            "{},{},{},{:.1},{:.1},{:.2},{fused}",
             case.scheme,
             case.modules,
             case.candidates,
             case.legacy_ns,
             case.compiled_ns,
-            case.speedup(),
-            case.fused_ns
-                .map_or_else(String::new, |ns| format!("{ns:.1}")),
+            case.speedup,
         );
     }
     let min = cases
         .iter()
-        .map(Case::speedup)
+        .map(|c| c.speedup)
         .fold(f64::INFINITY, f64::min);
     println!("# min speedup {min:.2}x (acceptance floor: 2x)");
 

@@ -125,7 +125,7 @@ fn paper_grid(shared: bool) -> ScenarioGrid {
             FaultProfile::random("moderate", FaultSeverity::moderate()),
             FaultProfile::random("severe", FaultSeverity::severe()),
         ])
-        .lineups([SchemeLineup::paper_fixed(CHARGE)]);
+        .lineups([SchemeLineup::paper()]);
     let builder = if shared {
         builder
     } else {
@@ -137,7 +137,7 @@ fn paper_grid(shared: bool) -> ScenarioGrid {
 /// One cell of the e2e-bench `scale-onr` workload's shape: the scalability
 /// lineup at 400 modules over the 800 s paper drive, severely faulted.
 const ONR_CELL: &str = "modules=400|seeds=1|drive=porter-ii-800s:800|var=none\
-                        |fault=random:severe:severe|lineup=fixed:onr:dnor-det:0.002+inor+baseline";
+                        |fault=random:severe:severe|lineup=fixed:onr:dnor+inor+baseline";
 
 /// Asserts the scale-onr-shaped cell's lockstep comparison equals its
 /// sequential standalone sessions bit for bit, then returns the best-of-N

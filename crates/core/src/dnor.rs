@@ -19,7 +19,6 @@ pub struct DnorConfig {
     prediction_window: usize,
     overhead: SwitchingOverheadModel,
     period: Seconds,
-    assumed_computation: Option<Seconds>,
 }
 
 impl DnorConfig {
@@ -70,43 +69,7 @@ impl DnorConfig {
             prediction_window,
             overhead,
             period,
-            assumed_computation: None,
         })
-    }
-
-    /// Replaces the measured wall clock with a fixed assumed computation
-    /// time per decision.
-    ///
-    /// DNOR's switch economics compare the predicted energy gain of a new
-    /// configuration against the overhead of switching to it, and that
-    /// overhead includes the algorithm's *own* computation time — measured
-    /// with `Instant::now()` by default, which makes two otherwise identical
-    /// runs differ by timing jitter.  With an assumed computation time the
-    /// gate (and the decision's reported computation) becomes a pure
-    /// function of the telemetry, so a DNOR run is bit-reproducible — the
-    /// property the golden-trace regression harness and the parallel sweep's
-    /// serial-equivalence guarantee need.  Pair it with the simulation
-    /// session's `RuntimePolicy::Fixed` charging the same value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReconfigError::InvalidParameter`] when the duration is
-    /// negative or non-finite.
-    pub fn with_assumed_computation(mut self, computation: Seconds) -> Result<Self, ReconfigError> {
-        if !(computation.value() >= 0.0 && computation.value().is_finite()) {
-            return Err(ReconfigError::InvalidParameter {
-                name: "assumed computation",
-                value: computation.value(),
-            });
-        }
-        self.assumed_computation = Some(computation);
-        Ok(self)
-    }
-
-    /// The fixed per-decision computation time in force, if any.
-    #[must_use]
-    pub const fn assumed_computation(&self) -> Option<Seconds> {
-        self.assumed_computation
     }
 
     /// The inner INOR tuning.
@@ -163,7 +126,6 @@ impl Default for DnorConfig {
             prediction_window: 5,
             overhead: SwitchingOverheadModel::default(),
             period: Seconds::new(1.0),
-            assumed_computation: None,
         }
     }
 }
@@ -404,18 +366,11 @@ impl Reconfigurer for Dnor {
         current: &Configuration,
     ) -> Result<ReconfigDecision, ReconfigError> {
         let started = Instant::now();
-        // With an assumed computation time the overhead gate and the
-        // reported timing are pure functions of the telemetry: the wall
-        // clock is never consulted and the decision is bit-reproducible.
-        let assumed = self.config.assumed_computation;
-        let elapsed_or_assumed = |started: &Instant| {
-            assumed.unwrap_or_else(|| Seconds::new(started.elapsed().as_secs_f64()))
-        };
+        let measured = || Seconds::new(started.elapsed().as_secs_f64());
 
         if self.periods_until_evaluation > 0 {
             self.periods_until_evaluation -= 1;
-            let elapsed = elapsed_or_assumed(&started);
-            return Ok(ReconfigDecision::keep(elapsed, false, false));
+            return Ok(ReconfigDecision::keep(measured(), false, false));
         }
 
         self.evaluations += 1;
@@ -433,7 +388,10 @@ impl Reconfigurer for Dnor {
             self.predicted_energies(window, current, &candidate)?;
 
         let toggles = current.switch_toggles_to(&candidate)?;
-        let computation_so_far = elapsed_or_assumed(&started);
+        // The gate weighs the charge the caller fixed for this decision, so
+        // under a fixed charge the decision is a pure function of the
+        // window; only a caller that fixes none gets its own wall clock.
+        let computation_so_far = window.fixed_charge().unwrap_or_else(measured);
         let overhead = self
             .config
             .overhead
@@ -442,7 +400,7 @@ impl Reconfigurer for Dnor {
 
         let switch = energy_old <= energy_new - overhead && &candidate != current;
         self.periods_until_evaluation = self.config.prediction_horizon;
-        let elapsed = elapsed_or_assumed(&started);
+        let elapsed = measured();
         // DNOR evaluates in the background while the array keeps harvesting;
         // only an actual switch interrupts the output.
         if switch {
@@ -709,44 +667,58 @@ mod tests {
     }
 
     #[test]
-    fn assumed_computation_validation() {
-        assert!(DnorConfig::default()
-            .with_assumed_computation(Seconds::new(-0.001))
-            .is_err());
-        assert!(DnorConfig::default()
-            .with_assumed_computation(Seconds::new(f64::NAN))
-            .is_err());
-        let cfg = DnorConfig::default()
-            .with_assumed_computation(Seconds::new(0.002))
-            .unwrap();
-        assert_eq!(cfg.assumed_computation(), Some(Seconds::new(0.002)));
-        assert_eq!(DnorConfig::default().assumed_computation(), None);
-    }
-
-    #[test]
-    fn assumed_computation_makes_decisions_bit_reproducible() {
+    fn the_windows_fixed_charge_drives_the_switch_gate() {
+        // A two-group start under a steep gradient: INOR's candidate gains
+        // far more than the switching cost at zero computation, but not
+        // more than an hour of lost harvest.
         let a = array(24);
         let history = gradient_history(24, 12, 95.0);
         let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0)).unwrap();
+        assert_eq!(inputs.fixed_charge(), None);
+        let current = Configuration::uniform(24, 2).unwrap();
+        let decide = |charge: f64| {
+            let window = inputs.with_fixed_charge(Seconds::new(charge));
+            assert_eq!(window.fixed_charge(), Some(Seconds::new(charge)));
+            Dnor::default().decide(&window, &current).unwrap()
+        };
+        let cheap = decide(0.0);
+        assert!(cheap.evaluated() && cheap.applied());
+        assert!(cheap.configuration().is_some_and(|c| c != &current));
+        let costly = decide(3600.0);
+        assert!(costly.evaluated() && !costly.applied());
+        assert_eq!(costly.configuration(), None);
+    }
+
+    #[test]
+    fn a_fixed_charge_makes_decisions_bit_reproducible() {
+        let a = array(24);
+        let history = gradient_history(24, 12, 95.0);
+        let inputs = TelemetryWindow::new(&a, &history, Celsius::new(25.0))
+            .unwrap()
+            .with_fixed_charge(Seconds::new(0.002));
         let run = || {
-            let config = DnorConfig::default()
-                .with_assumed_computation(Seconds::new(0.002))
-                .unwrap();
-            let mut dnor = Dnor::new(config);
+            let mut dnor = Dnor::default();
             let mut current = Configuration::uniform(24, 4).unwrap();
             let mut trail = Vec::new();
             for _ in 0..9 {
                 let decision = dnor.decide(&inputs, &current).unwrap();
-                trail.push(decision.clone());
+                trail.push((
+                    decision.configuration().cloned(),
+                    decision.evaluated(),
+                    decision.applied(),
+                ));
                 if let Some(next) = decision.into_configuration() {
                     current = next;
                 }
             }
             trail
         };
-        // Every decision — configuration, computation, flags — is identical
-        // across reruns: no wall-clock jitter leaks into the gate.
-        assert_eq!(run(), run());
-        assert!(run().iter().all(|d| d.computation() == Seconds::new(0.002)));
+        // Configurations and flags are identical across reruns: no
+        // wall-clock jitter leaks into the gate.  `computation()` reports
+        // the measured wall time, which the session replaces with the same
+        // fixed charge.
+        let first = run();
+        assert!(first.iter().any(|(_, evaluated, _)| *evaluated));
+        assert_eq!(first, run());
     }
 }

@@ -12,8 +12,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use teg_units::Seconds;
-
 use crate::baseline::StaticBaseline;
 use crate::dnor::{Dnor, DnorConfig};
 use crate::ehtr::Ehtr;
@@ -82,9 +80,14 @@ impl SchemeSpec {
     }
 
     /// Parses a preset token back into the spec that emitted it: `inor`,
-    /// `ehtr`, `dnor`, `dnor-det:<seconds>` or `baseline:<modules>`.
-    /// Returns `None` for unknown tokens or malformed parameters, so wire
-    /// layers can reject bad requests instead of panicking.
+    /// `ehtr`, `dnor` or `baseline:<modules>`.  Returns `None` for unknown
+    /// tokens or malformed parameters, so wire layers can reject bad
+    /// requests instead of panicking.
+    ///
+    /// `dnor-det:<seconds>` is a legacy alias of `dnor` that keeps its own
+    /// token: the seconds must be finite and non-negative and are otherwise
+    /// ignored, since the session's `RuntimePolicy::Fixed` sets the
+    /// charge DNOR's gate weighs.
     #[must_use]
     pub fn parse(token: &str) -> Option<Self> {
         match token {
@@ -98,7 +101,7 @@ impl SchemeSpec {
             if !(seconds.is_finite() && seconds >= 0.0) {
                 return None;
             }
-            return Some(Self::dnor_deterministic(Seconds::new(seconds)));
+            return Some(Self::dnor().tagged(format!("dnor-det:{seconds}")));
         }
         if let Some(value) = token.strip_prefix("baseline:") {
             let modules: usize = value.parse().ok()?;
@@ -140,21 +143,6 @@ impl SchemeSpec {
         Self::new(move || Dnor::new(config.clone()))
     }
 
-    /// DNOR with default tuning but a fixed assumed computation time, so its
-    /// switch economics (and hence the whole run) are bit-reproducible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `computation` is negative or non-finite (the deterministic
-    /// field presets pass literal non-negative values).
-    #[must_use]
-    pub fn dnor_deterministic(computation: Seconds) -> Self {
-        let config = DnorConfig::default()
-            .with_assumed_computation(computation)
-            .expect("assumed computation must be non-negative and finite");
-        Self::dnor_with(config).tagged(format!("dnor-det:{}", computation.value()))
-    }
-
     /// The prior-work EHTR re-implementation with its default tuning.
     #[must_use]
     pub fn ehtr() -> Self {
@@ -175,27 +163,6 @@ impl SchemeSpec {
     pub fn paper_field(module_count: usize) -> Vec<Self> {
         vec![
             Self::dnor(),
-            Self::inor(),
-            Self::ehtr(),
-            Self::baseline_square_grid(module_count),
-        ]
-    }
-
-    /// The paper's Table I field in its bit-reproducible form: identical to
-    /// [`SchemeSpec::paper_field`] except that DNOR charges the fixed
-    /// `computation` time instead of measuring its own wall clock.  Combined
-    /// with a simulation `RuntimePolicy::Fixed` of the same value, every
-    /// scheme in the field is a pure function of the telemetry — the lineup
-    /// golden-trace snapshots and serial/parallel sweep equivalence are
-    /// asserted against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `computation` is negative or non-finite.
-    #[must_use]
-    pub fn paper_field_fixed(module_count: usize, computation: Seconds) -> Vec<Self> {
-        vec![
-            Self::dnor_deterministic(computation),
             Self::inor(),
             Self::ehtr(),
             Self::baseline_square_grid(module_count),
@@ -254,17 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_paper_field_matches_the_measured_one_by_name() {
-        let field = SchemeSpec::paper_field_fixed(100, Seconds::new(0.002));
-        let names: Vec<&str> = field.iter().map(SchemeSpec::name).collect();
-        assert_eq!(names, ["DNOR", "INOR", "EHTR", "Baseline"]);
-        assert_eq!(
-            SchemeSpec::dnor_deterministic(Seconds::new(0.002)).name(),
-            "DNOR"
-        );
-    }
-
-    #[test]
     fn debug_shows_the_name_only() {
         let text = format!("{:?}", SchemeSpec::ehtr());
         assert!(text.contains("EHTR"), "{text}");
@@ -284,8 +240,20 @@ mod tests {
             SchemeSpec::baseline_square_grid(36).spec(),
             Some("baseline:36")
         );
+    }
+
+    #[test]
+    fn dnor_det_is_a_tag_preserving_alias_of_dnor() {
+        let alias = SchemeSpec::parse("dnor-det:0.005").unwrap();
+        assert_eq!(alias.spec(), Some("dnor-det:0.005"));
+        assert_eq!(alias.name(), "DNOR");
         assert_eq!(
-            SchemeSpec::dnor_deterministic(Seconds::new(0.002)).spec(),
+            alias.build().lookback(),
+            SchemeSpec::dnor().build().lookback()
+        );
+        // The tag spells the seconds in their canonical `f64` form.
+        assert_eq!(
+            SchemeSpec::parse("dnor-det:2e-3").unwrap().spec(),
             Some("dnor-det:0.002")
         );
     }

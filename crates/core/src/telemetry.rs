@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use teg_array::TegArray;
-use teg_units::{Celsius, TemperatureDelta};
+use teg_units::{Celsius, Seconds, TemperatureDelta};
 
 use crate::error::ReconfigError;
 
@@ -172,6 +172,7 @@ impl TelemetryBuffer {
             older,
             newer,
             ambient,
+            fixed_charge: None,
         })
     }
 }
@@ -186,6 +187,12 @@ impl TelemetryBuffer {
 /// one per invocation costs nothing beyond validation.  DNOR's per-module
 /// predictors are trained on the window while INOR/EHTR only consume the
 /// latest row.
+///
+/// The window also carries the per-decision computation charge when the
+/// caller fixes one ([`TelemetryWindow::with_fixed_charge`]): a scheme whose
+/// decision weighs its own computation time (DNOR's switch gate) uses that
+/// charge instead of its wall clock, so the decision is a pure function of
+/// the window.
 ///
 /// # Examples
 ///
@@ -212,6 +219,7 @@ pub struct TelemetryWindow<'a> {
     older: &'a [Vec<f64>],
     newer: &'a [Vec<f64>],
     ambient: Celsius,
+    fixed_charge: Option<Seconds>,
 }
 
 impl<'a> TelemetryWindow<'a> {
@@ -244,7 +252,25 @@ impl<'a> TelemetryWindow<'a> {
             older: history,
             newer: &[],
             ambient,
+            fixed_charge: None,
         })
+    }
+
+    /// Fixes the computation time charged for the decision made on this
+    /// window.  The simulation session attaches its `RuntimePolicy::Fixed`
+    /// charge here, so every scheme and the session's overhead accounting
+    /// see the same value and no decision consults the wall clock.
+    #[must_use]
+    pub const fn with_fixed_charge(mut self, charge: Seconds) -> Self {
+        self.fixed_charge = Some(charge);
+        self
+    }
+
+    /// The fixed per-decision computation charge, or `None` when the
+    /// decision's own measured wall time is what gets charged.
+    #[must_use]
+    pub const fn fixed_charge(&self) -> Option<Seconds> {
+        self.fixed_charge
     }
 
     /// The TEG array under control.

@@ -136,6 +136,9 @@ pub trait Reconfigurer: Send {
     /// `window` carries the bounded recent telemetry; `current` is the
     /// configuration presently wired, and schemes that decide not to change
     /// anything return [`ReconfigDecision::keep`] instead of cloning it.
+    /// A scheme whose decision weighs its own computation time uses the
+    /// window's [`fixed_charge`](TelemetryWindow::fixed_charge) when the
+    /// caller set one, and its measured wall time only otherwise.
     ///
     /// A scheme sees telemetry only — the temperature rows as the sensors
     /// report them, corruption included — and never the plant's electrical

@@ -48,7 +48,7 @@
 //!
 //! # Determinism
 //!
-//! Under [`RuntimePolicy::Fixed`] with a deterministic lineup, the CELL and
+//! Under [`RuntimePolicy::Fixed`] (with any lineup), the CELL and
 //! DONE payloads of a request are a pure function of the request: repeat
 //! submissions stream byte-identical results, and a resumed sweep's replayed
 //! frames equal the ones the interrupted run streamed.  The DONE frame

@@ -33,11 +33,13 @@ use crate::scenario::Scenario;
 /// How a session accounts the computation time of each scheme decision.
 ///
 /// The schemes measure their own wall-clock runtime, and that measurement
-/// feeds the switching-overhead model (computation extends the dead time) as
-/// well as the report's runtime statistics — which makes two otherwise
-/// identical runs differ by timing jitter.  A parallel scenario sweep that
-/// must produce byte-identical results for any worker count replaces the
-/// measurement with a fixed per-decision charge.
+/// feeds the switching-overhead model (computation extends the dead time),
+/// the report's runtime statistics and DNOR's switch gate — which makes two
+/// otherwise identical runs differ by timing jitter.  A parallel scenario
+/// sweep that must produce byte-identical results for any worker count
+/// replaces the measurement with a fixed per-decision charge; the session
+/// is its only owner and hands it to every decision through the
+/// [`TelemetryWindow`](teg_reconfig::TelemetryWindow).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RuntimePolicy {
     /// Charge the wall-clock time each decision actually took (the default,
@@ -45,7 +47,7 @@ pub enum RuntimePolicy {
     #[default]
     Measured,
     /// Charge every decision the same fixed computation time, making the
-    /// whole simulation deterministic.
+    /// whole simulation deterministic for every scheme, DNOR included.
     Fixed(Seconds),
 }
 
@@ -622,7 +624,13 @@ impl<'s> Controller<'s> {
         let mut solved: Option<SolvedPoint> = None;
 
         for _ in 0..invocations {
-            let window = self.buffer.window(array, plant.ambient)?;
+            let mut window = self.buffer.window(array, plant.ambient)?;
+            // A fixed charge travels in the window, so a scheme whose
+            // decision weighs its own computation (DNOR's switch gate) sees
+            // the same charge the session accounts below.
+            if let RuntimePolicy::Fixed(charge) = self.runtime_policy {
+                window = window.with_fixed_charge(charge);
+            }
             let decision = self.scheme.decide(&window, &self.config)?;
             // The policy decides whether the measured wall clock or a fixed
             // deterministic charge flows into stats and overhead accounting.

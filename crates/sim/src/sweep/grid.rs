@@ -153,19 +153,6 @@ impl SchemeLineup {
         Self::parameterised("paper", SchemeSpec::paper_field).tagged("paper".into())
     }
 
-    /// The paper's Table I field in its bit-reproducible form: DNOR charges
-    /// the fixed `computation` time instead of its own wall clock, so a
-    /// sweep under `RuntimePolicy::Fixed(computation)` reproduces
-    /// bit-identically for any worker count — the lineup the golden-trace
-    /// snapshots pin down.
-    #[must_use]
-    pub fn paper_fixed(computation: teg_units::Seconds) -> Self {
-        Self::parameterised("paper-fixed", move |n| {
-            SchemeSpec::paper_field_fixed(n, computation)
-        })
-        .tagged(format!("paper-fixed:{}", computation.value()))
-    }
-
     /// A lineup with a fixed set of specs, identical for every module count.
     #[must_use]
     pub fn fixed(name: impl Into<String>, specs: Vec<SchemeSpec>) -> Self {
@@ -219,11 +206,16 @@ impl SchemeLineup {
     }
 
     /// Parses a lineup token back into the lineup that emitted it:
-    /// `paper`, `paper-fixed:<seconds>`, or `fixed:<name>:<tok>+<tok>+…`
-    /// where each `tok` follows the [`SchemeSpec::parse`] grammar — plus the
-    /// bare token `baseline`, which fields the square-grid baseline sized
-    /// for each cell's module count.  Returns `None` for unknown tokens or
-    /// malformed parameters.
+    /// `paper` or `fixed:<name>:<tok>+<tok>+…` where each `tok` follows the
+    /// [`SchemeSpec::parse`] grammar — plus the bare token `baseline`, which
+    /// fields the square-grid baseline sized for each cell's module count.
+    /// Returns `None` for unknown tokens or malformed parameters.
+    ///
+    /// `paper-fixed:<seconds>` is a legacy alias that fields the `paper`
+    /// schemes but keeps the name `paper-fixed` (cell keys carry it) and its
+    /// own token: the seconds must be finite and non-negative and are
+    /// otherwise ignored, since the session's `RuntimePolicy::Fixed`
+    /// sets the per-decision charge.
     #[must_use]
     pub fn parse(token: &str) -> Option<Self> {
         if token == "paper" {
@@ -234,7 +226,10 @@ impl SchemeLineup {
             if !(seconds.is_finite() && seconds >= 0.0) {
                 return None;
             }
-            return Some(Self::paper_fixed(teg_units::Seconds::new(seconds)));
+            return Some(
+                Self::parameterised("paper-fixed", SchemeSpec::paper_field)
+                    .tagged(format!("paper-fixed:{seconds}")),
+            );
         }
         let rest = token.strip_prefix("fixed:")?;
         let (name, tokens) = rest.split_once(':')?;
@@ -951,6 +946,32 @@ mod tests {
         );
         assert_eq!(grid.cells()[0].key().module_count(), 6);
         assert_eq!(grid.cells()[11].key().module_count(), 12);
+    }
+
+    #[test]
+    fn the_legacy_fixed_paper_token_aliases_the_paper_lineup() {
+        let alias = SchemeLineup::parse("paper-fixed:0.005").unwrap();
+        assert_eq!(alias.name(), "paper-fixed");
+        assert_eq!(alias.spec(), Some("paper-fixed:0.005"));
+        let tokens = |lineup: &SchemeLineup| {
+            lineup
+                .specs(16)
+                .iter()
+                .map(|s| s.spec().map(str::to_owned))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(tokens(&alias), tokens(&SchemeLineup::paper()));
+        for bad in [
+            "paper-fixed:",
+            "paper-fixed:-1",
+            "paper-fixed:inf",
+            "paper-fixed:NaN",
+        ] {
+            assert!(
+                SchemeLineup::parse(bad).is_none(),
+                "{bad:?} should not parse"
+            );
+        }
     }
 
     #[test]

@@ -24,15 +24,12 @@
 //!   completion order, so the assembled [`SweepReport`] lists cells in grid
 //!   order no matter how the pool interleaves.
 //! * **Serial-equivalence.**  Under [`RuntimePolicy::Fixed`] the physics is
-//!   bit-reproducible for schemes that decide purely from telemetry (INOR,
-//!   EHTR, the static baseline): one worker and N workers produce identical
-//!   [`SweepReport`]s.  DNOR measures its own runtime by design, so the
-//!   default [`SchemeLineup::paper`] lineup reproduces only up to
-//!   wall-clock timing jitter — use [`SchemeLineup::paper_fixed`], which
-//!   gives DNOR a fixed assumed computation time, when bit-equality
-//!   matters (the golden-trace regression harness does).  The same caveat
-//!   applies to everything under the default [`RuntimePolicy::Measured`],
-//!   where overhead accounting itself is measured.
+//!   bit-reproducible for every lineup: one worker and N workers produce
+//!   identical [`SweepReport`]s.  The session hands its fixed charge to each
+//!   decision, so DNOR's switch gate weighs that charge rather than its own
+//!   wall clock.  Under the default [`RuntimePolicy::Measured`] overhead
+//!   accounting is measured, so results reproduce only up to wall-clock
+//!   timing jitter.
 //!
 //! The grid also carries a **fault axis** ([`FaultProfile`]): each profile
 //! produces one degraded variant of every scenario sample (seeded

@@ -85,13 +85,8 @@ impl SweepRunner {
 
     /// Replaces the runtime-accounting policy every cell runs under.
     /// [`RuntimePolicy::Fixed`] makes the sweep bit-reproducible for any
-    /// worker count, provided the schemes decide purely from telemetry
-    /// (INOR, EHTR, the baseline do; plain `dnor`'s switch economics consult
-    /// its own measured runtime, so it reproduces only up to timing
-    /// jitter).  `dnor-det:<seconds>`
-    /// ([`SchemeSpec::dnor_deterministic`](teg_reconfig::SchemeSpec::dnor_deterministic))
-    /// charges a fixed computation time instead and is exact: its decisions
-    /// are pure functions of the telemetry.
+    /// worker count and any lineup: every decision, DNOR's switch gate
+    /// included, is charged the fixed computation time.
     #[must_use]
     pub fn runtime_policy(mut self, policy: RuntimePolicy) -> Self {
         self.runtime_policy = policy;

@@ -358,7 +358,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSeverity};
     use teg_reconfig::SchemeSpec;
-    use teg_units::Seconds;
 
     #[test]
     fn default_spec_is_the_paper_grid() {
@@ -444,22 +443,11 @@ mod tests {
 
         // Lineups.
         assert_eq!(SchemeLineup::paper().spec(), Some("paper"));
-        let fixed = SchemeLineup::paper_fixed(Seconds::new(0.002));
+        let fixed = SchemeLineup::parse("paper-fixed:0.002").unwrap();
         assert_eq!(fixed.spec(), Some("paper-fixed:0.002"));
-        let parsed = SchemeLineup::parse("paper-fixed:0.002").unwrap();
-        assert_eq!(parsed.spec(), fixed.spec());
-        assert_eq!(
-            parsed
-                .specs(10)
-                .iter()
-                .map(SchemeSpec::name)
-                .collect::<Vec<_>>(),
-            fixed
-                .specs(10)
-                .iter()
-                .map(SchemeSpec::name)
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(fixed.name(), "paper-fixed");
+        let reparsed = SchemeLineup::parse(fixed.spec().unwrap()).unwrap();
+        assert_eq!(reparsed.spec(), fixed.spec());
         let duo = SchemeLineup::fixed("duo", vec![SchemeSpec::inor(), SchemeSpec::ehtr()]);
         assert_eq!(duo.spec(), Some("fixed:duo:inor+ehtr"));
         let reparsed = SchemeLineup::parse(duo.spec().unwrap()).unwrap();

@@ -31,7 +31,7 @@ fn every_scheme_survives_a_degraded_drive_and_loses_energy_to_it() {
     let degraded = scenario_with(plan, 16, 60);
 
     let run = |scenario: &Scenario| {
-        Comparison::from_specs(scenario, &SchemeSpec::paper_field_fixed(16, CHARGE))
+        Comparison::from_specs(scenario, &SchemeSpec::paper_field(16))
             .runtime_policy(RuntimePolicy::Fixed(CHARGE))
             .run()
             .expect("comparison")
@@ -134,7 +134,7 @@ fn stuck_switches_bound_what_the_controller_can_realise() {
         )
     };
     let scenario = scenario_with(weld_all(8), 8, 20);
-    let report = Comparison::from_specs(&scenario, &SchemeSpec::paper_field_fixed(8, CHARGE))
+    let report = Comparison::from_specs(&scenario, &SchemeSpec::paper_field(8))
         .runtime_policy(RuntimePolicy::Fixed(CHARGE))
         .run()
         .expect("comparison");

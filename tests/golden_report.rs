@@ -3,9 +3,9 @@
 //! The headline report artefacts — Table I for the `paper_field` lineup
 //! (healthy and degraded) and a sweep summary over a grid with a fault axis
 //! — are regenerated under the bit-reproducible configuration
-//! (`RuntimePolicy::Fixed` + `SchemeLineup::paper_fixed`, which gives DNOR a
-//! fixed assumed computation time) and compared byte-for-byte against
-//! snapshots committed under `tests/golden/`.
+//! (`RuntimePolicy::Fixed`, whose charge the session also hands to DNOR's
+//! switch gate) and compared byte-for-byte against snapshots committed
+//! under `tests/golden/`.
 //!
 //! Any drift in the physics, the schemes, the fault model or the report
 //! formatting fails these tests.  After an *intended* change, re-bless the
@@ -29,7 +29,7 @@ use teg_harvest::sim::{
 use teg_harvest::units::Seconds;
 
 /// The fixed per-decision computation charge every deterministic artefact
-/// uses (DNOR's assumed runtime and the session policy must agree).
+/// runs under.
 const FIXED_CHARGE: Seconds = Seconds::new(0.002);
 
 fn golden_dir() -> PathBuf {
@@ -70,7 +70,7 @@ fn paper_field_table1(plan: FaultPlan) -> String {
         .fault_plan(plan.clone())
         .build()
         .expect("scenario");
-    let specs = SchemeSpec::paper_field_fixed(20, FIXED_CHARGE);
+    let specs = SchemeSpec::paper_field(20);
     let report = Comparison::from_specs(&scenario, &specs)
         .runtime_policy(RuntimePolicy::Fixed(FIXED_CHARGE))
         .run()
@@ -108,7 +108,7 @@ fn sweep_summary_reproduces_bit_identically_for_any_worker_count() {
                 FaultProfile::none(),
                 FaultProfile::random("moderate", FaultSeverity::moderate()),
             ])
-            .lineups([SchemeLineup::paper_fixed(FIXED_CHARGE)])
+            .lineups([SchemeLineup::paper()])
             .build()
             .expect("grid")
     };
@@ -124,6 +124,8 @@ fn sweep_summary_reproduces_bit_identically_for_any_worker_count() {
     // The golden file also certifies worker-count independence: both runs
     // must match the identical snapshot.
     assert_eq!(serial, parallel);
+    // "paper-fixed" in the header reads "the paper lineup under a fixed
+    // charge"; the wording stays so the snapshot stays byte-identical.
     let rendered = format!(
         "# paper-fixed lineup sweep: 2 module counts x 2 seeds x (healthy, moderate faults), \
          40 s drives, fixed 2 ms charge\n{}",

@@ -61,13 +61,13 @@ fn assert_lockstep_matches_sequential(s: &Scenario, specs: &[SchemeSpec]) -> Vec
 
 #[test]
 fn comparison_matches_four_sequential_engine_runs() {
-    // Under a fixed runtime charge and DNOR's assumed computation time no
-    // wall clock reaches any result, so lockstep and sequential runs must
+    // Under a fixed runtime charge, which DNOR's gate weighs too, no wall
+    // clock reaches any result, so lockstep and sequential runs must
     // agree bit for bit, overhead and net energy included.
     let modules = 24;
     let s = scenario(modules, 50, 11);
     let specs = [
-        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
+        SchemeSpec::dnor(),
         SchemeSpec::inor(),
         SchemeSpec::ehtr(),
         SchemeSpec::baseline_square_grid(modules),
@@ -133,7 +133,7 @@ fn faulted_comparison_matches_four_sequential_engine_runs() {
         .build()
         .expect("valid faulted scenario");
     let specs = [
-        SchemeSpec::dnor_deterministic(Seconds::new(0.002)),
+        SchemeSpec::dnor(),
         SchemeSpec::inor(),
         SchemeSpec::ehtr(),
         SchemeSpec::baseline_square_grid(modules),

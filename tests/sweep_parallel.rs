@@ -11,7 +11,7 @@ use teg_harvest::reconfig::{
 };
 use teg_harvest::sim::{
     DriveProfile, FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup,
-    SweepRunner,
+    SweepReport, SweepRunner,
 };
 use teg_harvest::units::Seconds;
 
@@ -36,31 +36,90 @@ fn grid() -> ScenarioGrid {
         .expect("valid grid")
 }
 
-const POLICY_CHARGE: Seconds = Seconds::new(0.002);
-const POLICY: RuntimePolicy = RuntimePolicy::Fixed(POLICY_CHARGE);
+const POLICY: RuntimePolicy = RuntimePolicy::Fixed(Seconds::new(0.002));
+
+/// The 6 samples of [`grid`] under the plain `paper` lineup, whose DNOR
+/// gate weighs the session's fixed charge.
+fn paper_grid() -> ScenarioGrid {
+    ScenarioGrid::builder()
+        .module_counts([6, 9])
+        .seeds([1, 2, 3])
+        .drives([DriveProfile::named("short", 20)])
+        .lineups([SchemeLineup::paper()])
+        .build()
+        .expect("valid grid")
+}
 
 #[test]
 fn one_worker_and_four_workers_produce_identical_reports() {
-    // Two *fresh* grids so each run pays (and proves) its own solves.
-    let serial_grid = grid();
-    let parallel_grid = grid();
-    assert_eq!(serial_grid.len(), 12);
+    for (make, cells) in [(grid as fn() -> ScenarioGrid, 12), (paper_grid, 6)] {
+        // Two *fresh* grids so each run pays (and proves) its own solves.
+        let serial_grid = make();
+        let parallel_grid = make();
+        assert_eq!(serial_grid.len(), cells);
 
-    let serial = SweepRunner::new()
-        .workers(1)
-        .runtime_policy(POLICY)
-        .run(&serial_grid)
-        .expect("serial sweep");
-    let parallel = SweepRunner::new()
-        .workers(4)
-        .runtime_policy(POLICY)
-        .run(&parallel_grid)
-        .expect("parallel sweep");
+        let serial = SweepRunner::new()
+            .workers(1)
+            .runtime_policy(POLICY)
+            .run(&serial_grid)
+            .expect("serial sweep");
+        let parallel = SweepRunner::new()
+            .workers(4)
+            .runtime_policy(POLICY)
+            .run(&parallel_grid)
+            .expect("parallel sweep");
 
-    // The headline guarantee: identical reports — per-cell records,
-    // energies, runtime statistics, summaries, solve counts — regardless of
-    // how the pool interleaved the cells.
-    assert_eq!(serial, parallel);
+        // The headline guarantee: identical reports — per-cell records,
+        // energies, runtime statistics, summaries, solve counts —
+        // regardless of how the pool interleaved the cells.
+        assert_eq!(serial, parallel);
+    }
+}
+
+/// Runs a small faulted grid over one lineup token under [`POLICY`].
+fn run_lineup(token: &str) -> SweepReport {
+    let grid = ScenarioGrid::builder()
+        .module_counts([8])
+        .seeds([3, 4])
+        .drives([DriveProfile::named("short", 25)])
+        .faults([
+            FaultProfile::none(),
+            FaultProfile::random("severe", FaultSeverity::severe()),
+        ])
+        .lineups([SchemeLineup::parse(token).expect(token)])
+        .build()
+        .expect("valid grid");
+    SweepRunner::new()
+        .workers(2)
+        .runtime_policy(POLICY)
+        .run(&grid)
+        .expect("sweep")
+}
+
+#[test]
+fn legacy_aliases_equal_their_plain_lineups_bit_for_bit() {
+    // `paper-fixed:<s>` fields the plain paper schemes and keeps only its
+    // name: every per-scheme record matches, and the cell keys differ in
+    // the lineup name alone.
+    let alias = run_lineup("paper-fixed:0.002");
+    let plain = run_lineup("paper");
+    assert_eq!(alias.cells().len(), 4);
+    assert_eq!(alias.summaries(), plain.summaries());
+    for (a, p) in alias.cells().iter().zip(plain.cells()) {
+        assert_eq!(a.report(), p.report());
+        assert_eq!(a.key().lineup(), "paper-fixed");
+        assert_eq!(p.key().lineup(), "paper");
+        assert_eq!(
+            a.key().to_string().replace("paper-fixed", "paper"),
+            p.key().to_string()
+        );
+    }
+    // `dnor-det:<s>` ignores its seconds: the session's charge (2 ms here)
+    // is what DNOR's gate weighs, not the alias's 5 ms.
+    assert_eq!(
+        run_lineup("fixed:x:dnor-det:0.005+inor"),
+        run_lineup("fixed:x:dnor+inor")
+    );
 }
 
 #[test]
@@ -102,7 +161,7 @@ fn fault_axes_reduce_thermal_solves_to_unique_keys() {
                 FaultProfile::random("light", FaultSeverity::light()),
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
-            .lineups([SchemeLineup::paper_fixed(POLICY_CHARGE)]);
+            .lineups([SchemeLineup::paper()]);
         let builder = if shared {
             builder
         } else {
@@ -197,7 +256,7 @@ fn faulted_grids_keep_the_serial_parallel_equivalence() {
                 FaultProfile::random("light", FaultSeverity::light()),
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
-            .lineups([SchemeLineup::paper_fixed(POLICY_CHARGE)])
+            .lineups([SchemeLineup::paper()])
             .build()
             .expect("valid faulted grid")
     };

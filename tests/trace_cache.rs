@@ -13,8 +13,7 @@ use teg_harvest::sim::{
 };
 use teg_harvest::units::Seconds;
 
-const CHARGE: Seconds = Seconds::new(0.002);
-const POLICY: RuntimePolicy = RuntimePolicy::Fixed(CHARGE);
+const POLICY: RuntimePolicy = RuntimePolicy::Fixed(Seconds::new(0.002));
 
 /// A grid whose fault axis triples the samples without touching the
 /// radiator inputs: 2 seeds × 3 fault profiles = 6 samples, 2 unique
@@ -29,7 +28,7 @@ fn shared_key_grid() -> ScenarioGrid {
             FaultProfile::random("light", FaultSeverity::light()),
             FaultProfile::random("severe", FaultSeverity::severe()),
         ])
-        .lineups([SchemeLineup::paper_fixed(CHARGE)])
+        .lineups([SchemeLineup::paper()])
         .build()
         .expect("valid grid")
 }
