@@ -21,11 +21,9 @@
 //!
 //! * Scanning many candidate partitions at one ΔT vector (a reconfiguration
 //!   inner loop): [`ArraySolver::load`] + [`ArraySolver::evaluate_candidates`].
-//! * Solving several wirings, or one wiring at many currents, at one ΔT
-//!   vector (a simulation step shared by every scheme of a lockstep field,
-//!   an MPPT loop, a one-off solve): [`ArraySolver::load`] once, then
-//!   [`ArraySolver::mpp`] / [`ArraySolver::operate_at`] per wiring or
-//!   current.
+//! * Solving several wirings at one ΔT vector (a simulation step shared by
+//!   every scheme of a lockstep field, a one-off solve):
+//!   [`ArraySolver::load`] once, then [`ArraySolver::mpp`] per wiring.
 //! * Group sums accumulated by the caller (INOR's fused scan):
 //!   [`mpp_power_from_group_sums`].
 //!
@@ -54,8 +52,6 @@
 //! // Full operating points against the same loaded terms.
 //! let point = solver.mpp(&candidates[3])?;
 //! assert_eq!(point.power(), powers[3]);
-//! let half = solver.operate_at(&candidates[3], point.current() * 0.5)?;
-//! assert!(half.power() < point.power());
 //! # Ok(())
 //! # }
 //! ```
@@ -126,7 +122,7 @@ impl ArraySolver {
 
     /// Derives the per-module EMF/conductance terms for one ΔT vector and
     /// optional fault state, to be shared by every subsequent candidate
-    /// evaluation ([`ArraySolver::mpp`], [`ArraySolver::operate_at`],
+    /// evaluation ([`ArraySolver::mpp`],
     /// [`ArraySolver::evaluate_candidates`]).
     ///
     /// # Errors
@@ -222,7 +218,8 @@ impl ArraySolver {
     /// # Errors
     ///
     /// Same failure modes as [`ArraySolver::mpp`].
-    pub fn operate_at(
+    #[cfg(test)]
+    pub(crate) fn operate_at(
         &mut self,
         candidate: &Configuration,
         current: Amps,

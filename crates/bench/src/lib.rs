@@ -46,15 +46,6 @@ pub fn exponential_deltas(n: usize, hot: f64, decay: f64) -> Vec<TemperatureDelt
         .collect()
 }
 
-/// The same profile expressed as module temperatures (°C) above an ambient.
-#[must_use]
-pub fn exponential_temperatures(n: usize, hot: f64, decay: f64, ambient: f64) -> Vec<f64> {
-    exponential_deltas(n, hot, decay)
-        .into_iter()
-        .map(|dt| ambient + dt.kelvin())
-        .collect()
-}
-
 /// The number of threads the host can run in parallel, recorded in every
 /// `BENCH_*.json` so a committed throughput figure names the hardware it
 /// was measured on.  Falls back to 1 when the platform cannot say.
@@ -74,9 +65,6 @@ mod tests {
         let deltas = exponential_deltas(10, 70.0, 1.0);
         assert_eq!(deltas.len(), 10);
         assert!(deltas[0] > deltas[9]);
-        let temps = exponential_temperatures(10, 70.0, 1.0, 25.0);
-        assert!((temps[0] - 95.0).abs() < 1e-9);
-        assert!(temps[9] > 25.0);
         assert!(available_parallelism() >= 1);
     }
 }

@@ -13,9 +13,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::baseline::StaticBaseline;
-use crate::dnor::{Dnor, DnorConfig};
+use crate::dnor::Dnor;
 use crate::ehtr::Ehtr;
-use crate::inor::{Inor, InorConfig};
+use crate::inor::Inor;
 use crate::traits::Reconfigurer;
 
 /// A factory for one reconfiguration scheme: a name plus a `build()` that
@@ -72,8 +72,8 @@ impl SchemeSpec {
 
     /// The compact text token this spec serialises to, when it was built
     /// from one of the named presets ([`SchemeSpec::parse`] round-trips it).
-    /// Specs wrapping arbitrary constructors ([`SchemeSpec::new`],
-    /// [`SchemeSpec::inor_with`], …) have no token and return `None`.
+    /// Specs wrapping arbitrary constructors ([`SchemeSpec::new`]) have no
+    /// token and return `None`.
     #[must_use]
     pub fn spec(&self) -> Option<&str> {
         self.spec.as_deref()
@@ -125,22 +125,10 @@ impl SchemeSpec {
         Self::new(Inor::default).tagged("inor".into())
     }
 
-    /// INOR with explicit tuning parameters.
-    #[must_use]
-    pub fn inor_with(config: InorConfig) -> Self {
-        Self::new(move || Inor::new(config.clone()))
-    }
-
     /// DNOR with its default tuning.
     #[must_use]
     pub fn dnor() -> Self {
         Self::new(Dnor::default).tagged("dnor".into())
-    }
-
-    /// DNOR with explicit tuning parameters.
-    #[must_use]
-    pub fn dnor_with(config: DnorConfig) -> Self {
-        Self::new(move || Dnor::new(config.clone()))
     }
 
     /// The prior-work EHTR re-implementation with its default tuning.
@@ -261,7 +249,6 @@ mod tests {
     #[test]
     fn custom_constructors_have_no_token_and_bad_tokens_fail() {
         assert_eq!(SchemeSpec::new(Inor::default).spec(), None);
-        assert_eq!(SchemeSpec::inor_with(InorConfig::default()).spec(), None);
         for bad in [
             "",
             "nonesuch",

@@ -3,9 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use teg_array::ArrayError;
-
-/// Errors produced by the charger, MPPT and battery models.
+/// Errors produced by the charger model.
 ///
 /// # Examples
 ///
@@ -25,8 +23,6 @@ pub enum PowerError {
         /// The rejected value.
         value: f64,
     },
-    /// An error bubbled up from the array solver while tracking its MPP.
-    Array(ArrayError),
 }
 
 impl fmt::Display for PowerError {
@@ -35,41 +31,15 @@ impl fmt::Display for PowerError {
             Self::InvalidParameter { name, value } => {
                 write!(f, "invalid value {value} for parameter {name}")
             }
-            Self::Array(err) => write!(f, "array error during power tracking: {err}"),
         }
     }
 }
 
-impl Error for PowerError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            Self::Array(err) => Some(err),
-            Self::InvalidParameter { .. } => None,
-        }
-    }
-}
-
-impl From<ArrayError> for PowerError {
-    fn from(err: ArrayError) -> Self {
-        Self::Array(err)
-    }
-}
+impl Error for PowerError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_and_source() {
-        let err = PowerError::from(ArrayError::EmptyArray);
-        assert!(err.to_string().contains("array error"));
-        assert!(std::error::Error::source(&err).is_some());
-        let err = PowerError::InvalidParameter {
-            name: "step",
-            value: -1.0,
-        };
-        assert!(std::error::Error::source(&err).is_none());
-    }
 
     #[test]
     fn error_implements_std_error() {

@@ -1,24 +1,26 @@
-//! Power-electronics substrate: charger (DC-DC converter), MPPT and battery.
+//! Power-electronics substrate: the charger (DC-DC converter) model.
 //!
 //! The paper's harvesting chain is `TEG array → charger → lead-acid battery`.
 //! The charger (an LTM4607-class buck-boost converter) tracks the array's
-//! maximum power point with a perturb-and-observe loop and converts the
-//! array voltage to the battery's 13.8 V charging voltage.  Its conversion
-//! efficiency peaks when the input voltage is close to the output voltage and
-//! falls off as the ratio deviates — this is why the reconfiguration
-//! algorithms restrict the number of series groups `n` to a window
-//! `[n_min, n_max]` that keeps the array MPP voltage near 13.8 V
-//! (Section III-B / V-A of the paper).
+//! maximum power point and converts the array voltage to the battery's
+//! 13.8 V charging voltage.  Its conversion efficiency peaks when the input
+//! voltage is close to the output voltage and falls off as the ratio
+//! deviates — this is why the reconfiguration algorithms restrict the
+//! number of series groups `n` to a window `[n_min, n_max]` that keeps the
+//! array MPP voltage near 13.8 V (Section III-B / V-A of the paper).
+//!
+//! MPP tracking is not simulated as a loop: the harvested power is the
+//! array's closed-form MPP (`teg_array::ArraySolver::mpp`), and each
+//! reconfiguration pays a constant tracker re-convergence dead time
+//! (`teg_array::SwitchingOverheadModel::mppt_settling`).  The battery is
+//! only the charger's fixed output voltage: the simulation meters delivered
+//! power as [`Charger::output_power`] of the net array power.
 //!
 //! Provided types:
 //!
 //! * [`Charger`] — conversion-efficiency model and the voltage window it
 //!   implies,
-//! * [`PerturbObserve`] — the P&O MPPT loop of Femia et al. that the paper
-//!   cites, plus a convenience routine to track a configured array,
-//! * [`LeadAcidBattery`] — a simple charge-accumulating battery sink,
-//! * [`HarvestingFrontEnd`] — glue that meters harvested energy through the
-//!   charger into the battery.
+//! * [`PowerError`] — the error its constructor raises.
 //!
 //! # Examples
 //!
@@ -40,14 +42,8 @@
 // `x <= 0.0` it also rejects NaN parameters.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
-mod battery;
 mod converter;
 mod error;
-mod frontend;
-mod mppt;
 
-pub use battery::LeadAcidBattery;
 pub use converter::Charger;
 pub use error::PowerError;
-pub use frontend::{HarvestReport, HarvestingFrontEnd};
-pub use mppt::{MpptOutcome, PerturbObserve};

@@ -11,7 +11,7 @@
 //!    period over a bounded telemetry window and charged switching
 //!    overhead per Section III-C,
 //! 4. the array electrical solver at its MPP under the chosen configuration,
-//! 5. the charger efficiency model metering energy into the battery.
+//! 5. the charger efficiency model metering the delivered power.
 //!
 //! # Entry points
 //!

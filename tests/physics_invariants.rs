@@ -2,9 +2,10 @@
 //! harvests more than the unconstrained ideal — nor, on a healthy array,
 //! more than the certified optimum over every wiring — and the net energy
 //! of a step is its gross harvest less the switching overhead charged to
-//! it, floored at zero.  Checked over small seeded arrays, healthy and
-//! under severe degradation, for the scalability lineup and the paper's
-//! Table I field.
+//! it, floored at zero.  The charger never delivers more than it is fed,
+//! and every session total is the in-order sum of its per-step energies.
+//! Checked over small seeded arrays, healthy and under severe degradation,
+//! for the scalability lineup and the paper's Table I field.
 
 use teg_harvest::reconfig::{certified_optimum, TelemetryWindow, CERTIFIED_GAP};
 use teg_harvest::sim::{
@@ -67,6 +68,8 @@ fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
                 .expect("session")
                 .with_runtime_policy(RuntimePolicy::Fixed(CHARGE));
             let mut index = 0;
+            // Per-step energies summed in step order, as the session does.
+            let mut totals = [Joules::ZERO; 5];
             while let Some(record) = session.step().expect("step") {
                 let context = format!("{} / {} at t={}", cell.key(), spec.name(), record.time());
                 let ideal = record.ideal_power().value();
@@ -92,8 +95,41 @@ fn no_step_beats_the_ideal_and_net_is_gross_less_overhead() {
                     net.average_power(step).value().to_bits(),
                     "{context}: net power is not gross less overhead"
                 );
+                let delivered = record.delivered_power();
+                assert!(
+                    delivered.value() >= 0.0 && delivered <= record.net_power(),
+                    "{context}: delivered power {delivered} outside [0, net {}]",
+                    record.net_power()
+                );
+                let energies = [
+                    gross,
+                    net,
+                    delivered * step,
+                    record.overhead_energy(),
+                    record.ideal_power() * step,
+                ];
+                for (total, energy) in totals.iter_mut().zip(energies) {
+                    *total += energy;
+                }
                 steps_checked += 1;
                 faulted_steps += usize::from(record.faults_active() > 0);
+            }
+            let summary = session.summary();
+            let reported = [
+                ("gross", summary.gross_energy()),
+                ("net", summary.net_energy()),
+                ("delivered", summary.delivered_energy()),
+                ("overhead", summary.overhead_energy()),
+                ("ideal", summary.ideal_energy()),
+            ];
+            for ((name, reported), summed) in reported.into_iter().zip(totals) {
+                assert_eq!(
+                    reported.value().to_bits(),
+                    summed.value().to_bits(),
+                    "{} / {}: {name} energy {reported} is not the sum of its steps {summed}",
+                    cell.key(),
+                    spec.name()
+                );
             }
         }
     }
