@@ -9,8 +9,7 @@
 //! under active faults).
 
 use teg_sim::{
-    FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SweepReport,
-    SweepRunner,
+    FaultProfile, FaultSeverity, GridSpec, RuntimePolicy, SchemeLineup, SweepReport, SweepRunner,
 };
 use teg_units::Seconds;
 
@@ -20,7 +19,7 @@ const DRIVE_SECONDS: usize = 300;
 const SEEDS: [u64; 2] = [7, 11];
 
 fn sweep(label: &str, severity: FaultSeverity) -> SweepReport {
-    let grid = ScenarioGrid::builder()
+    let grid = GridSpec::new()
         .module_counts([MODULES])
         .seeds(SEEDS)
         .duration_seconds(DRIVE_SECONDS)
@@ -30,7 +29,7 @@ fn sweep(label: &str, severity: FaultSeverity) -> SweepReport {
             FaultProfile::random(label.to_owned(), severity)
         }])
         .lineups([SchemeLineup::paper()])
-        .build()
+        .to_grid()
         .expect("valid grid");
     let report = SweepRunner::new()
         .runtime_policy(RuntimePolicy::Fixed(FIXED_CHARGE))

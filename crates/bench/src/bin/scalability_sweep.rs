@@ -2,7 +2,7 @@
 //! measured end-to-end by the parallel scenario-sweep subsystem rather than
 //! a hand-rolled timing loop.
 //!
-//! One [`ScenarioGrid`] per array size spans three drive seeds for
+//! One [`ScenarioGrid`](teg_sim::ScenarioGrid) per array size spans three drive seeds for
 //! stability; the [`SweepRunner`] executes the cells with a *single* worker
 //! — the schemes time their own decisions with the wall clock, and
 //! concurrent cells would contend for cache and turbo headroom, inflating
@@ -13,18 +13,18 @@
 //! that survives on industrial-scale systems: EHTR's dynamic program blows
 //! up with N while INOR stays linear.
 
-use teg_sim::{ScenarioGrid, SchemeLineup, SimError, SweepRunner};
+use teg_sim::{GridSpec, SchemeLineup, SimError, SweepRunner};
 
 fn main() -> Result<(), SimError> {
     println!("# Scalability: mean per-invocation runtime (ms), 60 s drive x 3 seeds");
     println!("modules,inor_ms,dnor_ms,ehtr_ms,ehtr_over_inor");
     for &n in &[25usize, 50, 100, 200, 400] {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([n])
             .seeds([1, 2, 3])
             .duration_seconds(60)
             .lineups([SchemeLineup::paper()])
-            .build()?;
+            .to_grid()?;
         // One worker: this grid exists to *time* decisions, and parallel
         // cells would contend for the cores being measured.
         let report = SweepRunner::new().workers(1).run(&grid)?;

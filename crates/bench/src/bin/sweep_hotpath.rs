@@ -26,7 +26,7 @@ use std::time::Instant;
 use teg_bench::available_parallelism;
 use teg_sim::{
     Comparison, FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup, SimSession,
-    SolverPool, SweepRunner,
+    SolverPool, SweepRunner, TraceCache,
 };
 use teg_units::Seconds;
 
@@ -65,7 +65,7 @@ struct GridSpec {
 /// of its 36 samples differ only by fault profile, so the cache
 /// collapses 36 trace solves to 3.
 fn monitoring_grid(shared: bool) -> ScenarioGrid {
-    let builder = ScenarioGrid::builder()
+    let spec = teg_sim::GridSpec::new()
         .module_counts([100])
         .seeds([1, 2, 3])
         .duration_seconds(160)
@@ -102,12 +102,8 @@ fn monitoring_grid(shared: bool) -> ScenarioGrid {
         .lineups([SchemeLineup::parameterised("static-field", |n| {
             vec![teg_reconfig::SchemeSpec::baseline_square_grid(n)]
         })]);
-    let builder = if shared {
-        builder
-    } else {
-        builder.isolated_traces()
-    };
-    builder.build().expect("monitoring grid")
+    spec.to_grid_with_cache(shared.then(TraceCache::new))
+        .expect("monitoring grid")
 }
 
 /// A full paper-lineup grid: all four schemes per cell.  The electrical
@@ -116,7 +112,7 @@ fn monitoring_grid(shared: bool) -> ScenarioGrid {
 /// absolute-throughput floor (the cumulative decision-memo and DP-layout
 /// wins are what move this grid).
 fn paper_grid(shared: bool) -> ScenarioGrid {
-    let builder = ScenarioGrid::builder()
+    let spec = teg_sim::GridSpec::new()
         .module_counts([40])
         .seeds([1, 2])
         .duration_seconds(120)
@@ -126,12 +122,8 @@ fn paper_grid(shared: bool) -> ScenarioGrid {
             FaultProfile::random("severe", FaultSeverity::severe()),
         ])
         .lineups([SchemeLineup::paper()]);
-    let builder = if shared {
-        builder
-    } else {
-        builder.isolated_traces()
-    };
-    builder.build().expect("paper grid")
+    spec.to_grid_with_cache(shared.then(TraceCache::new))
+        .expect("paper grid")
 }
 
 /// One cell of the e2e-bench `scale-onr` workload's shape: the scalability

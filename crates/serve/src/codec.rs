@@ -202,15 +202,15 @@ pub fn decode_cell(text: &str) -> Result<SweepCellReport, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use teg_sim::{RuntimePolicy, ScenarioGrid, SchemeLineup, SweepRunner};
+    use teg_sim::{GridSpec, RuntimePolicy, SchemeLineup, SweepRunner};
 
     fn sample_cells() -> Vec<SweepCellReport> {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([6])
             .seeds([3])
             .duration_seconds(8)
             .lineups([SchemeLineup::parse("paper-fixed:0.002").unwrap()])
-            .build()
+            .to_grid()
             .unwrap();
         let report = SweepRunner::new()
             .workers(1)

@@ -739,7 +739,7 @@ fn handle_submit(stream: &mut TcpStream, shared: &Arc<Shared>, frame: &Frame) ->
     };
     let policy = policy_token(request.policy);
 
-    let grid = match request.grid.to_grid_with_cache(shared.cache.clone()) {
+    let grid = match request.grid.to_grid_with_cache(Some(shared.cache.clone())) {
         Ok(grid) => grid,
         Err(err) => {
             release_slot();

@@ -404,6 +404,51 @@ fn over_budget_requests_are_rejected_up_front() {
 }
 
 #[test]
+fn budget_products_that_would_wrap_are_rejected_before_any_grid_is_built() {
+    let server = SweepServer::start(ServerConfig::default()).unwrap();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    // Axis lengths whose cell product is 2^64 + 67 (a ~620 KB payload).
+    // Counted with wrapping arithmetic that reads as 67 cells and 268 steps,
+    // inside every budget, and the server would then start building 2^64
+    // scenarios.
+    let modules = vec!["4"; 136_949].join(",");
+    let seeds = vec!["1"; 120_811].join(",");
+    let drives = vec!["city:1"; 10_529].join(",");
+    let variations = vec!["none"; 6_229].join(",");
+    let faults = vec!["healthy"; 17].join(",");
+    let wide = format!(
+        "modules={modules}|seeds={seeds}|drive={drives}|var={variations}|fault={faults}|lineup=paper"
+    );
+    // One cell of 2^62 s × 4 schemes: 2^64 steps, which wraps to 0.
+    let long = "modules=8|drive=city:4611686018427387904|lineup=paper";
+    for (id, spec, counted) in [
+        ("wide", wide.as_str(), "cells"),
+        ("long", long, "scheme-steps"),
+    ] {
+        match client.submit(&request(id, spec)) {
+            Err(ServeError::Rejected(rejected)) => {
+                let reason = &rejected.reason;
+                assert!(reason.contains("budget"), "{reason}");
+                assert!(
+                    reason.contains(&format!("{} {counted}", usize::MAX)),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a budget rejection, got {other:?}"),
+        }
+    }
+    // The refusals held no admission slot: a fitting sweep still runs.
+    let ok = "modules=6|seeds=1|drive=city:10|lineup=paper-fixed:0.002";
+    let report = client
+        .submit(&request("fits", ok))
+        .unwrap()
+        .into_report()
+        .unwrap();
+    assert_eq!(report.cells().len(), 1);
+    server.shutdown();
+}
+
+#[test]
 fn busy_server_rejects_rather_than_queueing() {
     let server = SweepServer::start(ServerConfig {
         workers: 1,

@@ -85,8 +85,8 @@ pub use report::SimulationReport;
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use session::{RuntimePolicy, SessionSummary, SimSession, SolverPool, StepFn, StepObserver};
 pub use sweep::{
-    run_cell, CellKey, DriveProfile, FaultProfile, GridSpec, ScenarioGrid, ScenarioGridBuilder,
-    SchemeLineup, SchemeSummary, SweepCell, SweepCellReport, SweepReport, SweepRunner,
+    run_cell, CellKey, DriveProfile, FaultProfile, GridSpec, ScenarioGrid, SchemeLineup,
+    SchemeSummary, SweepCell, SweepCellReport, SweepReport, SweepRunner,
 };
 pub use thermal_trace::ThermalTrace;
 pub use trace_cache::TraceCache;

@@ -5,12 +5,12 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
-use teg_device::VariationModel;
 use teg_reconfig::SchemeSpec;
 
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSeverity};
 use crate::scenario::Scenario;
+use crate::sweep::spec::GridSpec;
 use crate::trace_cache::{ThermalKey, TraceCache};
 
 /// Whether a label/name may appear inside a compact grid spec: the spec
@@ -422,7 +422,7 @@ impl CellKey {
     /// Reassembles a key from its raw coordinates — the inverse of reading
     /// the accessors off an existing key.  Wire codecs use this to
     /// reconstruct streamed cell reports; within one process, keys come from
-    /// [`ScenarioGridBuilder::build`].
+    /// [`GridSpec::to_grid`].
     #[must_use]
     pub fn from_parts(
         index: usize,
@@ -532,8 +532,8 @@ impl SweepCell {
 /// Cells that differ only in their lineup reference the *same* scenario
 /// sample, so its thermal trace is solved once however many lineups (and
 /// workers) replay it.  On top of that, the grid attaches one shared
-/// [`TraceCache`] to every sample (unless built with
-/// [`ScenarioGridBuilder::isolated_traces`]), so *samples* whose thermal
+/// [`TraceCache`] to every sample (unless built by
+/// [`GridSpec::to_grid_with_cache`] with `None`), so *samples* whose thermal
 /// inputs are bit-identical — typically the fault-profile variants of one
 /// (module count, seed, drive) coordinate — also share a single radiator
 /// solve.  The grid is `Sync`: workers share it by reference.
@@ -547,241 +547,21 @@ pub struct ScenarioGrid {
 }
 
 impl ScenarioGrid {
-    /// Starts a builder with the paper's defaults on every axis (100
-    /// modules, seed 0, the 800-second drive, no variation, the Table I
-    /// lineup).
-    #[must_use]
-    pub fn builder() -> ScenarioGridBuilder {
-        ScenarioGridBuilder::new()
-    }
-
-    /// Number of cells (scenario samples × lineups).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when the grid has no cells (never produced by the builder,
-    /// which rejects empty axes).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The cells in grid order.
-    #[must_use]
-    pub fn cells(&self) -> &[SweepCell] {
-        &self.cells
-    }
-
-    /// The distinct scenario samples, in axis order.
-    #[must_use]
-    pub fn samples(&self) -> &[Scenario] {
-        &self.samples
-    }
-
-    /// The scheme lineups, in insertion order.
-    #[must_use]
-    pub fn lineups(&self) -> &[SchemeLineup] {
-        &self.lineups
-    }
-
-    /// The scenario a cell replays.
-    #[must_use]
-    pub fn scenario(&self, cell: &SweepCell) -> &Scenario {
-        &self.samples[cell.sample_index]
-    }
-
-    /// The lineup a cell fields.
-    #[must_use]
-    pub fn lineup(&self, cell: &SweepCell) -> &SchemeLineup {
-        &self.lineups[cell.lineup_index]
-    }
-
-    /// Radiator solves performed through this grid's scenarios so far —
-    /// after a sweep, exactly [`ScenarioGrid::expected_thermal_solves`] when
-    /// the trace caches held: one solve per drive-cycle second of each
-    /// *unique thermal key*, however many samples, cells and workers shared
-    /// it.  With an externally pre-warmed cache
-    /// ([`ScenarioGridBuilder::trace_cache`]) the count can be lower still:
-    /// keys already solved by an earlier grid cost this grid nothing.
-    #[must_use]
-    pub fn thermal_solve_count(&self) -> usize {
-        self.samples.iter().map(Scenario::thermal_solve_count).sum()
-    }
-
-    /// The solve budget a sweep costs *from a cold cache*: one radiator
-    /// solve per drive-cycle second of each *unique thermal key* on the
-    /// grid (samples that differ only by fault profile — or any other axis
-    /// that never reaches the radiator — share a key).  With
-    /// [`ScenarioGridBuilder::isolated_traces`] every sample is its own
-    /// key, restoring the historical one-solve-per-sample count.  A grid
-    /// sharing an external, already-warm cache performs *at most* this many
-    /// solves — [`ScenarioGrid::thermal_solve_count`] then reports only the
-    /// keys this grid solved first.
-    #[must_use]
-    pub const fn expected_thermal_solves(&self) -> usize {
-        self.expected_thermal_solves
-    }
-
-    /// The cross-sample trace cache attached to this grid's scenarios, if
-    /// sharing is enabled (the default).
-    #[must_use]
-    pub const fn trace_cache(&self) -> Option<&TraceCache> {
-        self.trace_cache.as_ref()
-    }
-
-    /// Indices into [`ScenarioGrid::samples`] of the first sample carrying
-    /// each distinct thermal key, in the order the cells first reference
-    /// them — the set of radiator solves a cold sweep of this grid runs.
-    /// With trace sharing disabled ([`ScenarioGridBuilder::isolated_traces`])
-    /// every sample is its own key, so every sample index is returned.
-    #[must_use]
-    pub fn unique_sample_indices(&self) -> Vec<usize> {
-        let mut seen = vec![false; self.samples.len()];
-        let mut referenced = Vec::new();
-        for cell in &self.cells {
-            if !seen[cell.sample_index] {
-                seen[cell.sample_index] = true;
-                referenced.push(cell.sample_index);
-            }
-        }
-        if self.trace_cache.is_none() {
-            // Isolated traces: nothing dedupes, each sample solves its own.
-            return referenced;
-        }
-        let mut unique: Vec<ThermalKey> = Vec::new();
-        let mut indices = Vec::new();
-        for index in referenced {
-            let key = ThermalKey::of(&self.samples[index]);
-            if !unique.contains(&key) {
-                unique.push(key);
-                indices.push(index);
-            }
-        }
-        indices
-    }
-}
-
-/// Builder for [`ScenarioGrid`] values; every axis defaults to the paper's
-/// single value.
-#[derive(Debug, Clone)]
-pub struct ScenarioGridBuilder {
-    module_counts: Vec<usize>,
-    seeds: Vec<u64>,
-    drives: Vec<DriveProfile>,
-    variations: Vec<VariationModel>,
-    faults: Vec<FaultProfile>,
-    lineups: Vec<SchemeLineup>,
-    trace_cache: Option<TraceCache>,
-    share_traces: bool,
-}
-
-impl ScenarioGridBuilder {
-    /// Creates a builder with the paper's defaults on every axis.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            module_counts: vec![100],
-            seeds: vec![0],
-            drives: vec![DriveProfile::paper_800s()],
-            variations: vec![VariationModel::none()],
-            faults: vec![FaultProfile::none()],
-            lineups: vec![SchemeLineup::paper()],
-            trace_cache: None,
-            share_traces: true,
-        }
-    }
-
-    /// Replaces the module-count axis.
-    #[must_use]
-    pub fn module_counts(mut self, counts: impl IntoIterator<Item = usize>) -> Self {
-        self.module_counts = counts.into_iter().collect();
-        self
-    }
-
-    /// Replaces the drive-cycle seed axis.
-    #[must_use]
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Replaces the drive-profile axis.
-    #[must_use]
-    pub fn drives(mut self, drives: impl IntoIterator<Item = DriveProfile>) -> Self {
-        self.drives = drives.into_iter().collect();
-        self
-    }
-
-    /// Shorthand for a single unnamed drive profile of the given duration.
-    #[must_use]
-    pub fn duration_seconds(self, duration_seconds: usize) -> Self {
-        self.drives([DriveProfile::seconds(duration_seconds)])
-    }
-
-    /// Replaces the module-variation axis.
-    #[must_use]
-    pub fn variations(mut self, variations: impl IntoIterator<Item = VariationModel>) -> Self {
-        self.variations = variations.into_iter().collect();
-        self
-    }
-
-    /// Replaces the fault axis: each profile produces one degradation
-    /// variant of every scenario sample (the default axis is the single
-    /// healthy profile).
-    #[must_use]
-    pub fn faults(mut self, faults: impl IntoIterator<Item = FaultProfile>) -> Self {
-        self.faults = faults.into_iter().collect();
-        self
-    }
-
-    /// Replaces the scheme-lineup axis.
-    #[must_use]
-    pub fn lineups(mut self, lineups: impl IntoIterator<Item = SchemeLineup>) -> Self {
-        self.lineups = lineups.into_iter().collect();
-        self
-    }
-
-    /// Shares thermal traces through an *external* [`TraceCache`] instead
-    /// of the fresh per-grid cache the builder creates by default — the hook
-    /// for threading one cache through many grids (repeated sweeps over
-    /// overlapping parameter spaces pay each unique radiator solve once,
-    /// ever).
-    #[must_use]
-    pub fn trace_cache(mut self, cache: TraceCache) -> Self {
-        self.trace_cache = Some(cache);
-        self.share_traces = true;
-        self
-    }
-
-    /// Disables cross-sample trace sharing: every sample solves its own
-    /// thermal trace, as earlier revisions did.  Useful for benchmarking the
-    /// cache itself; the per-sample (cells × lineups) sharing is unaffected.
-    #[must_use]
-    pub fn isolated_traces(mut self) -> Self {
-        self.trace_cache = None;
-        self.share_traces = false;
-        self
-    }
-
-    /// Resolves the cross-product: builds one scenario per distinct
-    /// (module count, seed, drive, variation) sample and one cell per
-    /// sample × lineup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidScenario`] when any axis is empty, when a
-    /// lineup fields no scheme or two schemes with the same name for some
-    /// module count, and propagates scenario-construction errors.
-    pub fn build(self) -> Result<ScenarioGrid, SimError> {
+    /// Resolves `spec`'s cross-product: one scenario per (module count,
+    /// seed, drive, variation, fault) sample, attached to `trace_cache` when
+    /// given, and one cell per sample × lineup.  Behind
+    /// [`GridSpec::to_grid`] and [`GridSpec::to_grid_with_cache`].
+    pub(crate) fn from_spec(
+        spec: &GridSpec,
+        trace_cache: Option<TraceCache>,
+    ) -> Result<Self, SimError> {
         for (axis, len) in [
-            ("module_counts", self.module_counts.len()),
-            ("seeds", self.seeds.len()),
-            ("drives", self.drives.len()),
-            ("variations", self.variations.len()),
-            ("faults", self.faults.len()),
-            ("lineups", self.lineups.len()),
+            ("module_counts", spec.module_counts.len()),
+            ("seeds", spec.seeds.len()),
+            ("drives", spec.drives.len()),
+            ("variations", spec.variations.len()),
+            ("faults", spec.faults.len()),
+            ("lineups", spec.lineups.len()),
         ] {
             if len == 0 {
                 return Err(SimError::InvalidScenario {
@@ -791,8 +571,8 @@ impl ScenarioGridBuilder {
         }
         // Lineup validation up front: failing at build time beats failing
         // halfway through a long parallel run.
-        for lineup in &self.lineups {
-            for &module_count in &self.module_counts {
+        for lineup in &spec.lineups {
+            for &module_count in &spec.module_counts {
                 let specs = lineup.specs(module_count);
                 if specs.is_empty() {
                     return Err(SimError::InvalidScenario {
@@ -818,16 +598,13 @@ impl ScenarioGridBuilder {
             }
         }
 
-        let trace_cache = self
-            .share_traces
-            .then(|| self.trace_cache.unwrap_or_default());
         let mut samples = Vec::new();
         let mut sample_coords = Vec::new();
-        for &module_count in &self.module_counts {
-            for &seed in &self.seeds {
-                for drive in &self.drives {
-                    for (variation_index, &variation) in self.variations.iter().enumerate() {
-                        for fault in &self.faults {
+        for &module_count in &spec.module_counts {
+            for &seed in &spec.seeds {
+                for drive in &spec.drives {
+                    for (variation_index, &variation) in spec.variations.iter().enumerate() {
+                        for fault in &spec.faults {
                             let mut builder = Scenario::builder()
                                 .module_count(module_count)
                                 .duration_seconds(drive.duration_seconds())
@@ -874,11 +651,11 @@ impl ScenarioGridBuilder {
             samples.iter().map(|s| s.drive_cycle().len()).sum()
         };
 
-        let mut cells = Vec::with_capacity(samples.len() * self.lineups.len());
+        let mut cells = Vec::with_capacity(samples.len() * spec.lineups.len());
         for (sample_index, (module_count, seed, drive, variation, fault)) in
             sample_coords.into_iter().enumerate()
         {
-            for (lineup_index, lineup) in self.lineups.iter().enumerate() {
+            for (lineup_index, lineup) in spec.lineups.iter().enumerate() {
                 cells.push(SweepCell {
                     key: CellKey {
                         index: cells.len(),
@@ -895,19 +672,120 @@ impl ScenarioGridBuilder {
             }
         }
 
-        Ok(ScenarioGrid {
+        Ok(Self {
             samples,
-            lineups: self.lineups,
+            lineups: spec.lineups.clone(),
             cells,
             trace_cache,
             expected_thermal_solves,
         })
     }
-}
 
-impl Default for ScenarioGridBuilder {
-    fn default() -> Self {
-        Self::new()
+    /// Number of cells (scenario samples × lineups).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// `true` when the grid has no cells (never produced by
+    /// [`GridSpec::to_grid`], which rejects empty axes).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// The cells in grid order.
+    #[must_use]
+    pub fn cells(&self) -> &[SweepCell] {
+        &self.cells
+    }
+
+    /// The distinct scenario samples, in axis order.
+    #[must_use]
+    pub fn samples(&self) -> &[Scenario] {
+        &self.samples
+    }
+
+    /// The scheme lineups, in insertion order.
+    #[must_use]
+    pub fn lineups(&self) -> &[SchemeLineup] {
+        &self.lineups
+    }
+
+    /// The scenario a cell replays.
+    #[must_use]
+    pub fn scenario(&self, cell: &SweepCell) -> &Scenario {
+        &self.samples[cell.sample_index]
+    }
+
+    /// The lineup a cell fields.
+    #[must_use]
+    pub fn lineup(&self, cell: &SweepCell) -> &SchemeLineup {
+        &self.lineups[cell.lineup_index]
+    }
+
+    /// Radiator solves performed through this grid's scenarios so far —
+    /// after a sweep, exactly [`ScenarioGrid::expected_thermal_solves`] when
+    /// the trace caches held: one solve per drive-cycle second of each
+    /// *unique thermal key*, however many samples, cells and workers shared
+    /// it.  With an externally pre-warmed cache
+    /// ([`GridSpec::to_grid_with_cache`]) the count can be lower still:
+    /// keys already solved by an earlier grid cost this grid nothing.
+    #[must_use]
+    pub fn thermal_solve_count(&self) -> usize {
+        self.samples.iter().map(Scenario::thermal_solve_count).sum()
+    }
+
+    /// The solve budget a sweep costs *from a cold cache*: one radiator
+    /// solve per drive-cycle second of each *unique thermal key* on the
+    /// grid (samples that differ only by fault profile — or any other axis
+    /// that never reaches the radiator — share a key).  With isolated
+    /// traces ([`GridSpec::to_grid_with_cache`] given `None`) every sample
+    /// is its own key, restoring the historical one-solve-per-sample count.  A grid
+    /// sharing an external, already-warm cache performs *at most* this many
+    /// solves — [`ScenarioGrid::thermal_solve_count`] then reports only the
+    /// keys this grid solved first.
+    #[must_use]
+    pub const fn expected_thermal_solves(&self) -> usize {
+        self.expected_thermal_solves
+    }
+
+    /// The cross-sample trace cache attached to this grid's scenarios, if
+    /// sharing is enabled (the default).
+    #[must_use]
+    pub const fn trace_cache(&self) -> Option<&TraceCache> {
+        self.trace_cache.as_ref()
+    }
+
+    /// Indices into [`ScenarioGrid::samples`] of the first sample carrying
+    /// each distinct thermal key, in the order the cells first reference
+    /// them — the set of radiator solves a cold sweep of this grid runs.
+    /// With trace sharing disabled ([`GridSpec::to_grid_with_cache`] given
+    /// `None`) every sample is its own key, so every sample index is returned.
+    #[must_use]
+    pub fn unique_sample_indices(&self) -> Vec<usize> {
+        let mut seen = vec![false; self.samples.len()];
+        let mut referenced = Vec::new();
+        for cell in &self.cells {
+            if !seen[cell.sample_index] {
+                seen[cell.sample_index] = true;
+                referenced.push(cell.sample_index);
+            }
+        }
+        if self.trace_cache.is_none() {
+            // Isolated traces: nothing dedupes, each sample solves its own.
+            return referenced;
+        }
+        let mut unique: Vec<ThermalKey> = Vec::new();
+        let mut indices = Vec::new();
+        for index in referenced {
+            let key = ThermalKey::of(&self.samples[index]);
+            if !unique.contains(&key) {
+                unique.push(key);
+                indices.push(index);
+            }
+        }
+        indices
     }
 }
 
@@ -917,7 +795,7 @@ mod tests {
 
     #[test]
     fn grid_is_the_cross_product_of_its_axes() {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([6, 9, 12])
             .seeds([1, 2])
             .duration_seconds(10)
@@ -925,7 +803,7 @@ mod tests {
                 SchemeLineup::paper(),
                 SchemeLineup::fixed("solo", vec![SchemeSpec::inor()]),
             ])
-            .build()
+            .to_grid()
             .unwrap();
         assert_eq!(grid.samples().len(), 6); // 3 × 2 × 1 drive × 1 variation
         assert_eq!(grid.len(), 12); // × 2 lineups
@@ -976,16 +854,16 @@ mod tests {
 
     #[test]
     fn empty_axes_are_rejected() {
-        for builder in [
-            ScenarioGrid::builder().module_counts([]),
-            ScenarioGrid::builder().seeds([]),
-            ScenarioGrid::builder().drives([]),
-            ScenarioGrid::builder().variations([]),
-            ScenarioGrid::builder().faults([]),
-            ScenarioGrid::builder().lineups([]),
+        for spec in [
+            GridSpec::new().module_counts([]),
+            GridSpec::new().seeds([]),
+            GridSpec::new().drives([]),
+            GridSpec::new().variations([]),
+            GridSpec::new().faults([]),
+            GridSpec::new().lineups([]),
         ] {
             assert!(matches!(
-                builder.build(),
+                spec.to_grid(),
                 Err(SimError::InvalidScenario { .. })
             ));
         }
@@ -995,7 +873,7 @@ mod tests {
     fn fault_axis_multiplies_samples_and_labels_cells() {
         use crate::fault::FaultSeverity;
 
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([8])
             .seeds([1, 2])
             .duration_seconds(12)
@@ -1004,7 +882,7 @@ mod tests {
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
             .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-            .build()
+            .to_grid()
             .unwrap();
         // 1 module count × 2 seeds × 1 drive × 1 variation × 2 faults.
         assert_eq!(grid.samples().len(), 4);
@@ -1039,12 +917,12 @@ mod tests {
         assert_eq!(profile.label(), "m0-open");
         assert_eq!(profile.plan(8, 10, 1), plan);
         assert_eq!(profile.plan(100, 800, 9), plan);
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([4, 6])
             .duration_seconds(8)
             .faults([profile])
             .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-            .build()
+            .to_grid()
             .unwrap();
         for cell in grid.cells() {
             assert_eq!(grid.scenario(cell).fault_plan(), &plan);
@@ -1056,31 +934,31 @@ mod tests {
 
     #[test]
     fn duplicate_lineup_schemes_are_rejected_at_build_time() {
-        let err = ScenarioGrid::builder()
+        let err = GridSpec::new()
             .module_counts([8])
             .duration_seconds(5)
             .lineups([SchemeLineup::fixed(
                 "twice",
                 vec![SchemeSpec::inor(), SchemeSpec::inor()],
             )])
-            .build()
+            .to_grid()
             .unwrap_err();
         assert!(err.to_string().contains("INOR"), "{err}");
     }
 
     #[test]
     fn empty_lineups_are_rejected_at_build_time() {
-        let err = ScenarioGrid::builder()
+        let err = GridSpec::new()
             .lineups([SchemeLineup::fixed("none", vec![])])
-            .build()
+            .to_grid()
             .unwrap_err();
         assert!(err.to_string().contains("no scheme"), "{err}");
     }
 
     #[test]
     fn invalid_scenario_parameters_propagate() {
-        assert!(ScenarioGrid::builder().module_counts([0]).build().is_err());
-        assert!(ScenarioGrid::builder().duration_seconds(0).build().is_err());
+        assert!(GridSpec::new().module_counts([0]).to_grid().is_err());
+        assert!(GridSpec::new().duration_seconds(0).to_grid().is_err());
     }
 
     #[test]
@@ -1094,11 +972,11 @@ mod tests {
 
     #[test]
     fn cell_keys_render_their_coordinates() {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([4])
             .seeds([9])
             .duration_seconds(5)
-            .build()
+            .to_grid()
             .unwrap();
         let text = grid.cells()[0].key().to_string();
         assert!(text.contains("4mod"), "{text}");
@@ -1110,7 +988,7 @@ mod tests {
     fn fault_variants_share_a_thermal_key_in_the_expected_solves() {
         use crate::fault::FaultSeverity;
 
-        let shared = ScenarioGrid::builder()
+        let shared = GridSpec::new()
             .module_counts([6])
             .seeds([1, 2])
             .duration_seconds(10)
@@ -1120,7 +998,7 @@ mod tests {
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
             .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-            .build()
+            .to_grid()
             .unwrap();
         // 6 samples (2 seeds × 3 fault profiles) but only 2 unique thermal
         // keys: the fault axis never reaches the radiator.
@@ -1128,7 +1006,7 @@ mod tests {
         assert_eq!(shared.expected_thermal_solves(), 2 * 10);
         assert!(shared.trace_cache().is_some());
 
-        let isolated = ScenarioGrid::builder()
+        let isolated = GridSpec::new()
             .module_counts([6])
             .seeds([1, 2])
             .duration_seconds(10)
@@ -1138,8 +1016,7 @@ mod tests {
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
             .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-            .isolated_traces()
-            .build()
+            .to_grid_with_cache(None)
             .unwrap();
         assert_eq!(isolated.expected_thermal_solves(), 6 * 10);
         assert!(isolated.trace_cache().is_none());
@@ -1151,13 +1028,12 @@ mod tests {
 
         let cache = TraceCache::new();
         let build = || {
-            ScenarioGrid::builder()
+            GridSpec::new()
                 .module_counts([5])
                 .seeds([1])
                 .duration_seconds(8)
                 .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-                .trace_cache(cache.clone())
-                .build()
+                .to_grid_with_cache(Some(cache.clone()))
                 .unwrap()
         };
         let first = build();

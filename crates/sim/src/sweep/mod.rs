@@ -2,11 +2,12 @@
 //! deterministic, serial-equivalent results.
 //!
 //! The paper evaluates one scenario (100 modules, one 800-second drive) ×
-//! four schemes.  This module scales that shape out: a [`ScenarioGrid`]
-//! enumerates the cross-product of module counts × seeds × drive profiles ×
-//! variation models × scheme lineups, and a [`SweepRunner`] executes every
-//! grid cell on a work-stealing pool of `std::thread::scope` workers —
-//! no external dependencies, no unsafe code.
+//! four schemes.  This module scales that shape out: a [`GridSpec`]
+//! describes the axes (module counts, seeds, drive profiles, variation
+//! models, fault profiles, scheme lineups), [`GridSpec::to_grid`] resolves
+//! their cross-product into a [`ScenarioGrid`], and a [`SweepRunner`]
+//! executes every grid cell on a work-stealing pool of `std::thread::scope`
+//! workers — no external dependencies, no unsafe code.
 //!
 //! Three properties make the sweep cheap and trustworthy:
 //!
@@ -44,15 +45,15 @@
 //! # Examples
 //!
 //! ```
-//! use teg_sim::{ScenarioGrid, SchemeLineup, SweepRunner};
+//! use teg_sim::{GridSpec, SchemeLineup, SweepRunner};
 //!
 //! # fn main() -> Result<(), teg_sim::SimError> {
-//! let grid = ScenarioGrid::builder()
+//! let grid = GridSpec::new()
 //!     .module_counts([8, 12])
 //!     .seeds([1, 2])
 //!     .duration_seconds(15)
 //!     .lineups([SchemeLineup::paper()])
-//!     .build()?;
+//!     .to_grid()?;
 //! assert_eq!(grid.len(), 4); // 2 module counts × 2 seeds × 1 lineup
 //!
 //! let report = SweepRunner::new().workers(2).run(&grid)?;
@@ -68,9 +69,7 @@ mod report;
 mod runner;
 mod spec;
 
-pub use grid::{
-    CellKey, DriveProfile, FaultProfile, ScenarioGrid, ScenarioGridBuilder, SchemeLineup, SweepCell,
-};
+pub use grid::{CellKey, DriveProfile, FaultProfile, ScenarioGrid, SchemeLineup, SweepCell};
 pub use report::{SchemeSummary, SweepCellReport, SweepReport};
 pub use runner::{run_cell, SweepRunner};
 pub use spec::GridSpec;

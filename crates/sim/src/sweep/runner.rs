@@ -32,15 +32,15 @@ use crate::sweep::report::{SweepCellReport, SweepReport};
 /// # Examples
 ///
 /// ```
-/// use teg_sim::{RuntimePolicy, ScenarioGrid, SweepRunner};
+/// use teg_sim::{GridSpec, RuntimePolicy, SweepRunner};
 /// use teg_units::Seconds;
 ///
 /// # fn main() -> Result<(), teg_sim::SimError> {
-/// let grid = ScenarioGrid::builder()
+/// let grid = GridSpec::new()
 ///     .module_counts([10])
 ///     .seeds([1, 2, 3])
 ///     .duration_seconds(12)
-///     .build()?;
+///     .to_grid()?;
 /// let report = SweepRunner::new()
 ///     .workers(3)
 ///     .runtime_policy(RuntimePolicy::Fixed(Seconds::new(0.002)))
@@ -237,11 +237,12 @@ mod tests {
     use super::*;
     use crate::fault::FaultSeverity;
     use crate::sweep::grid::{FaultProfile, ScenarioGrid, SchemeLineup};
+    use crate::sweep::spec::GridSpec;
     use teg_reconfig::SchemeSpec;
     use teg_units::Seconds;
 
     fn small_grid() -> ScenarioGrid {
-        ScenarioGrid::builder()
+        GridSpec::new()
             .module_counts([6, 8])
             .seeds([1, 2])
             .duration_seconds(8)
@@ -249,7 +250,7 @@ mod tests {
                 "duo",
                 vec![SchemeSpec::inor(), SchemeSpec::baseline_square_grid(6)],
             )])
-            .build()
+            .to_grid()
             .unwrap()
     }
 
@@ -291,7 +292,7 @@ mod tests {
         // forces the simultaneous misses this grid can only invite.
         let one_key = || {
             let lineup = |i| SchemeLineup::fixed(format!("lineup-{i}"), vec![SchemeSpec::inor()]);
-            ScenarioGrid::builder()
+            GridSpec::new()
                 .module_counts([6])
                 .seeds([1])
                 .duration_seconds(12)
@@ -300,7 +301,7 @@ mod tests {
                     FaultProfile::random("moderate", FaultSeverity::moderate()),
                 ])
                 .lineups((0..8).map(lineup))
-                .build()
+                .to_grid()
                 .unwrap()
         };
         let policy = RuntimePolicy::Fixed(Seconds::new(0.003));
@@ -337,12 +338,12 @@ mod tests {
 
     #[test]
     fn worker_counts_beyond_the_grid_are_harmless() {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([5])
             .seeds([3])
             .duration_seconds(6)
             .lineups([SchemeLineup::fixed("solo", vec![SchemeSpec::inor()])])
-            .build()
+            .to_grid()
             .unwrap();
         let report = SweepRunner::new().workers(32).run(&grid).unwrap();
         assert_eq!(report.cells().len(), 1);
@@ -395,7 +396,7 @@ mod tests {
             }
         }
 
-        ScenarioGrid::builder()
+        GridSpec::new()
             .module_counts([5])
             .seeds([1])
             .duration_seconds(5)
@@ -403,7 +404,7 @@ mod tests {
                 "broken",
                 vec![SchemeSpec::new(|| Panicking)],
             )])
-            .build()
+            .to_grid()
             .unwrap()
     }
 

@@ -1,8 +1,13 @@
-//! Compact one-line serialisation of a sweep grid.
+//! The description of a sweep grid: its builder and its one-line wire form.
 //!
-//! A [`GridSpec`] captures the six axes of a [`ScenarioGrid`] as a single
+//! A [`GridSpec`] holds the six axes of a [`ScenarioGrid`] — module counts,
+//! seeds, drive profiles, variation models, fault profiles and scheme
+//! lineups — each defaulting to the paper's single value.  Code sets the
+//! axes with chained setters and resolves the cross-product with
+//! [`GridSpec::to_grid`] (or [`GridSpec::to_grid_with_cache`] to choose how
+//! samples share thermal traces).  The same value serialises to a single
 //! text line, mirroring [`FaultPlan::spec`](crate::FaultPlan::spec) at the
-//! grid level so whole sweep requests can travel over a wire, live in a
+//! grid level, so whole sweep requests can travel over a wire, live in a
 //! checkpoint header, or caption a report:
 //!
 //! ```text
@@ -13,28 +18,26 @@
 //! within a value token by `:` (with `+` separating the schemes of a fixed
 //! lineup).  Fault-plan specs only ever contain `;`, `:` and `.`, so a full
 //! `fixed:` fault profile nests inside a value without escaping.  Missing
-//! axes parse to the paper's defaults, matching
-//! [`ScenarioGrid::builder`](crate::ScenarioGrid::builder); emission always
-//! writes all six in canonical order, so `parse(s).spec() == s` for any
-//! canonically formatted `s`.
+//! axes parse to the paper's defaults, matching [`GridSpec::new`]; emission
+//! always writes all six in canonical order, so `parse(s).spec() == s` for
+//! any canonically formatted `s`.
 //!
 //! Only *spec-able* axis values round-trip: profiles and lineups built from
 //! the named presets (or from preset-token schemes) carry a token; ones
 //! wrapping arbitrary closures do not, and [`GridSpec::spec`] reports which
-//! axis blocks serialisation.
+//! axis blocks serialisation.  Such a spec still builds a grid.
 
 use std::fmt;
 
 use teg_device::VariationModel;
 
 use crate::error::SimError;
-use crate::sweep::grid::{
-    DriveProfile, FaultProfile, ScenarioGrid, ScenarioGridBuilder, SchemeLineup,
-};
+use crate::sweep::grid::{DriveProfile, FaultProfile, ScenarioGrid, SchemeLineup};
 use crate::trace_cache::TraceCache;
 
-/// The serialisable description of a [`ScenarioGrid`]: every axis held as
-/// values that can be written to (and re-read from) a compact text line.
+/// The description of a [`ScenarioGrid`]: every axis held as values that
+/// build the grid and can be written to (and re-read from) a compact text
+/// line.  Every axis defaults to the paper's single value.
 ///
 /// # Examples
 ///
@@ -57,12 +60,12 @@ use crate::trace_cache::TraceCache;
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridSpec {
-    module_counts: Vec<usize>,
-    seeds: Vec<u64>,
-    drives: Vec<DriveProfile>,
-    variations: Vec<VariationModel>,
-    faults: Vec<FaultProfile>,
-    lineups: Vec<SchemeLineup>,
+    pub(super) module_counts: Vec<usize>,
+    pub(super) seeds: Vec<u64>,
+    pub(super) drives: Vec<DriveProfile>,
+    pub(super) variations: Vec<VariationModel>,
+    pub(super) faults: Vec<FaultProfile>,
+    pub(super) lineups: Vec<SchemeLineup>,
 }
 
 impl Default for GridSpec {
@@ -72,8 +75,8 @@ impl Default for GridSpec {
 }
 
 impl GridSpec {
-    /// A spec with the paper's defaults on every axis — the same starting
-    /// point as [`ScenarioGrid::builder`].
+    /// A spec with the paper's defaults on every axis (100 modules, seed 0,
+    /// the 800-second drive, no variation, no fault, the Table I lineup).
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -107,6 +110,13 @@ impl GridSpec {
         self
     }
 
+    /// Shorthand for a single unnamed drive profile of the given duration:
+    /// sets the drive axis only.
+    #[must_use]
+    pub fn duration_seconds(self, duration_seconds: usize) -> Self {
+        self.drives([DriveProfile::seconds(duration_seconds)])
+    }
+
     /// Replaces the module-variation axis.
     #[must_use]
     pub fn variations(mut self, variations: impl IntoIterator<Item = VariationModel>) -> Self {
@@ -114,7 +124,9 @@ impl GridSpec {
         self
     }
 
-    /// Replaces the fault axis.
+    /// Replaces the fault axis: each profile produces one degradation
+    /// variant of every scenario sample (the default axis is the single
+    /// healthy profile).
     #[must_use]
     pub fn faults(mut self, faults: impl IntoIterator<Item = FaultProfile>) -> Self {
         self.faults = faults.into_iter().collect();
@@ -130,31 +142,41 @@ impl GridSpec {
 
     /// Total cells the grid will have: samples × lineups.  Available before
     /// building, so admission control can budget a request without paying
-    /// for scenario construction.
+    /// for scenario construction.  Saturates at `usize::MAX`, so a grid too
+    /// large to count reads as over any budget.
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        self.module_counts.len()
-            * self.seeds.len()
-            * self.drives.len()
-            * self.variations.len()
-            * self.faults.len()
-            * self.lineups.len()
+        [
+            self.module_counts.len(),
+            self.seeds.len(),
+            self.drives.len(),
+            self.variations.len(),
+            self.faults.len(),
+            self.lineups.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Total simulated steps across all cells: for each (sample, lineup)
     /// pair, the drive's duration times the lineup's scheme count for that
     /// sample's module count.  The per-request work bound a service budgets
-    /// against.
+    /// against.  Saturates at `usize::MAX` like [`GridSpec::cell_count`].
     #[must_use]
     pub fn total_steps(&self) -> usize {
-        let per_coordinate = self.seeds.len() * self.variations.len() * self.faults.len();
-        let mut steps = 0;
+        let per_coordinate = [self.seeds.len(), self.variations.len(), self.faults.len()]
+            .into_iter()
+            .fold(1, usize::saturating_mul);
+        let mut steps: usize = 0;
         for drive in &self.drives {
             for lineup in &self.lineups {
                 for &module_count in &self.module_counts {
-                    steps += drive.duration_seconds()
-                        * lineup.specs(module_count).len()
-                        * per_coordinate;
+                    steps = steps.saturating_add(
+                        drive
+                            .duration_seconds()
+                            .saturating_mul(lineup.specs(module_count).len())
+                            .saturating_mul(per_coordinate),
+                    );
                 }
             }
         }
@@ -261,37 +283,29 @@ impl GridSpec {
         Ok(spec)
     }
 
-    /// The equivalent [`ScenarioGridBuilder`], with every axis applied (the
-    /// trace-sharing default is the builder's: one fresh shared cache).
-    #[must_use]
-    pub fn to_builder(&self) -> ScenarioGridBuilder {
-        ScenarioGrid::builder()
-            .module_counts(self.module_counts.iter().copied())
-            .seeds(self.seeds.iter().copied())
-            .drives(self.drives.iter().cloned())
-            .variations(self.variations.iter().copied())
-            .faults(self.faults.iter().cloned())
-            .lineups(self.lineups.iter().cloned())
-    }
-
-    /// Builds the grid with the builder's default fresh shared cache.
+    /// Resolves the cross-product into a [`ScenarioGrid`] whose samples
+    /// share thermal traces through one fresh [`TraceCache`].
     ///
     /// # Errors
     ///
-    /// Propagates [`ScenarioGridBuilder::build`] errors.
+    /// Returns [`SimError::InvalidScenario`] when any axis is empty, when a
+    /// lineup fields no scheme or two schemes with the same name for some
+    /// module count, and propagates scenario-construction errors.
     pub fn to_grid(&self) -> Result<ScenarioGrid, SimError> {
-        self.to_builder().build()
+        ScenarioGrid::from_spec(self, Some(TraceCache::new()))
     }
 
-    /// Builds the grid sharing the given external [`TraceCache`] — the hook
-    /// a long-running service uses so repeated requests over overlapping
-    /// parameter spaces pay each unique radiator solve once.
+    /// Resolves the cross-product with the given trace sharing.
+    /// `Some(cache)` shares traces through an external cache, so repeated
+    /// requests over overlapping parameter spaces pay each unique radiator
+    /// solve once.  `None` isolates the samples: each solves its own trace,
+    /// which is how benchmarks measure the cache itself.
     ///
     /// # Errors
     ///
-    /// Propagates [`ScenarioGridBuilder::build`] errors.
-    pub fn to_grid_with_cache(&self, cache: TraceCache) -> Result<ScenarioGrid, SimError> {
-        self.to_builder().trace_cache(cache).build()
+    /// As [`GridSpec::to_grid`].
+    pub fn to_grid_with_cache(&self, cache: Option<TraceCache>) -> Result<ScenarioGrid, SimError> {
+        ScenarioGrid::from_spec(self, cache)
     }
 }
 
@@ -357,7 +371,70 @@ fn parse_variation(token: &str) -> Option<VariationModel> {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultSeverity};
+    use proptest::prelude::*;
     use teg_reconfig::SchemeSpec;
+
+    /// Grammar fragments a hostile or mistyped spec line is made of: the
+    /// separators, every axis name, the value-token prefixes and numbers at
+    /// and past the edges of what `usize`, `u64` and `f64` hold.
+    const FRAGMENTS: [&str; 47] = [
+        "|",
+        ",",
+        ":",
+        "=",
+        "+",
+        ";",
+        ".",
+        "/",
+        " ",
+        "modules",
+        "seeds",
+        "drive",
+        "var",
+        "fault",
+        "lineup",
+        "paper",
+        "paper-fixed:",
+        "fixed:",
+        "random:",
+        "tol:",
+        "healthy",
+        "none",
+        "light",
+        "severe",
+        "city",
+        "inor",
+        "dnor",
+        "ehtr",
+        "baseline",
+        "baseline:",
+        "dnor-det:",
+        "m1.open",
+        "s0.stuck_open",
+        "n2.noise",
+        "0",
+        "1",
+        "8",
+        "-0",
+        "-1",
+        "0.5",
+        "1e999",
+        "NaN",
+        "inf",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4611686018427387904",
+        "é",
+    ];
+    const AXES: [&str; 6] = ["modules", "seeds", "drive", "var", "fault", "lineup"];
+
+    fn assert_total(line: &str) {
+        if let Ok(spec) = GridSpec::parse(line) {
+            let _ = spec.cell_count();
+            let _ = spec.total_steps();
+            let _ = spec.spec();
+        }
+    }
 
     #[test]
     fn default_spec_is_the_paper_grid() {
@@ -399,6 +476,11 @@ mod tests {
         assert_eq!(
             GridSpec::parse("").unwrap().spec().unwrap(),
             GridSpec::new().spec().unwrap()
+        );
+        // The `duration_seconds` shorthand sets the drive axis only.
+        assert_eq!(
+            spec.duration_seconds(12).spec().unwrap(),
+            "modules=8|seeds=3|drive=12s:12|var=none|fault=healthy|lineup=paper"
         );
     }
 
@@ -498,5 +580,54 @@ mod tests {
             FaultProfile::parameterised("odd", |_, _, _| FaultPlan::none()).spec(),
             None
         );
+    }
+
+    proptest! {
+        #[test]
+        fn parse_is_total_over_grammar_fragments(
+            raw in collection::vec(0usize..FRAGMENTS.len(), 0..24),
+            axes in collection::vec(0usize..AXES.len(), 1..4),
+            values in collection::vec(0usize..FRAGMENTS.len(), 1..12),
+        ) {
+            // Free concatenations mostly fail early; the `axis=values` shape
+            // reaches the value parsers.  Every prefix of both lines is
+            // checked as well, which covers truncated frames.
+            let free: String = raw.iter().map(|&i| FRAGMENTS[i]).collect();
+            let mut shaped = String::new();
+            for (n, &axis) in axes.iter().enumerate() {
+                if n > 0 {
+                    shaped.push('|');
+                }
+                shaped.push_str(AXES[axis]);
+                shaped.push('=');
+                let share = values.len().div_ceil(axes.len());
+                for &v in values.iter().skip(n * share).take(share) {
+                    shaped.push_str(FRAGMENTS[v]);
+                }
+            }
+            for line in [free, shaped] {
+                for (end, _) in line.char_indices().chain([(line.len(), ' ')]) {
+                    assert_total(&line[..end]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_grids_saturate_instead_of_wrapping() {
+        // Axis lengths whose product is 2^64 + 67: unchecked, a 64-bit
+        // build reads 67 cells and 268 steps and passes any budget.
+        let spec = GridSpec::new()
+            .module_counts(vec![4; 136_949])
+            .seeds(0..120_811)
+            .drives(vec![DriveProfile::named("city", 1); 10_529])
+            .variations(vec![VariationModel::none(); 6_229])
+            .faults(vec![FaultProfile::none(); 17]);
+        assert_eq!(spec.cell_count(), usize::MAX);
+        // 2^62 s × 4 schemes is 2^64 steps, which wraps to 0 unchecked.
+        let spec =
+            GridSpec::parse("modules=8|drive=city:4611686018427387904|lineup=paper").unwrap();
+        assert_eq!(spec.cell_count(), 1);
+        assert_eq!(spec.total_steps(), usize::MAX);
     }
 }

@@ -14,11 +14,12 @@
 //! repository's bit-exactness discipline: a cached trace is the same value a
 //! fresh solve would produce, down to the last bit.
 //!
-//! The cache is `Arc`-shared and cheap to clone; [`ScenarioGrid`] attaches
-//! one to every sample it builds (unless opted out), and long-lived callers
-//! can thread one cache through many grids to share traces across sweeps.
+//! The cache is `Arc`-shared and cheap to clone; a grid attaches one to
+//! every sample it builds, and long-lived callers can thread one cache
+//! through many grids ([`GridSpec::to_grid_with_cache`]) to share traces
+//! across sweeps.
 //!
-//! [`ScenarioGrid`]: crate::ScenarioGrid
+//! [`GridSpec::to_grid_with_cache`]: crate::GridSpec::to_grid_with_cache
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -146,9 +147,10 @@ struct CacheInner {
 ///
 /// Cloning shares the underlying storage.  Attach a cache to scenarios via
 /// [`ScenarioBuilder::trace_cache`](crate::ScenarioBuilder::trace_cache) —
-/// or let [`ScenarioGrid`](crate::ScenarioGrid) do it, which it does by
-/// default — and every attached scenario whose thermal inputs compare equal
-/// resolves to the same solved trace, radiator model run exactly once.
+/// or let [`GridSpec::to_grid`](crate::GridSpec::to_grid) attach one to every
+/// sample of a grid — and every attached scenario whose thermal inputs
+/// compare equal resolves to the same solved trace, radiator model run
+/// exactly once.
 ///
 /// # Examples
 ///

@@ -3,13 +3,13 @@
 //! approach pays off most on industrial boilers and heat exchangers.
 //!
 //! Rebuilt on the scenario-sweep subsystem: each array size is one
-//! [`ScenarioGrid`] executed by the work-stealing [`SweepRunner`], and the
+//! [`ScenarioGrid`](teg_harvest::sim::ScenarioGrid) executed by the work-stealing [`SweepRunner`], and the
 //! per-scheme mean runtimes come from the sweep's summaries instead of a
 //! hand-rolled timing loop.
 //!
 //! Run with `cargo run --release --example scalability_study`.
 
-use teg_harvest::sim::{ScenarioGrid, SchemeLineup, SweepRunner};
+use teg_harvest::sim::{GridSpec, SchemeLineup, SweepRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
@@ -18,14 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for &n in &[25usize, 50, 100, 200, 400] {
-        let grid = ScenarioGrid::builder()
+        let grid = GridSpec::new()
             .module_counts([n])
             .seeds([7, 8])
             .duration_seconds(30)
             .lineups([
                 SchemeLineup::parse("fixed:heuristics:inor+ehtr").expect("a valid lineup token")
             ])
-            .build()?;
+            .to_grid()?;
         // One worker: the study times decisions, so concurrent cells must
         // not contend for the cores being measured.
         let report = SweepRunner::new().workers(1).run(&grid)?;

@@ -4,18 +4,18 @@
 //! Run with `cargo run --release --example sweep_quickstart`.
 
 use teg_harvest::device::VariationModel;
-use teg_harvest::sim::{DriveProfile, ScenarioGrid, SchemeLineup, SweepRunner};
+use teg_harvest::sim::{DriveProfile, GridSpec, SchemeLineup, SweepRunner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The cross-product of every axis: 2 module counts × 3 seeds × 1 drive
     // × 2 variation models × 1 lineup = 12 scenario samples = 12 cells.
-    let grid = ScenarioGrid::builder()
+    let grid = GridSpec::new()
         .module_counts([50, 100])
         .seeds([1, 2, 3])
         .drives([DriveProfile::named("city", 120)])
         .variations([VariationModel::none(), VariationModel::new(0.03, 0.05)?])
         .lineups([SchemeLineup::paper()])
-        .build()?;
+        .to_grid()?;
     println!(
         "grid: {} cells over {} distinct scenario samples",
         grid.len(),

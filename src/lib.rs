@@ -15,3 +15,9 @@ pub use teg_serve as serve;
 pub use teg_sim as sim;
 pub use teg_thermal as thermal;
 pub use teg_units as units;
+
+/// Compiles (and, unless marked `no_run`, runs) the README's Rust snippets
+/// as doctests, so the front-page examples cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -23,7 +23,7 @@ use std::path::PathBuf;
 
 use teg_harvest::reconfig::SchemeSpec;
 use teg_harvest::sim::{
-    Comparison, FaultPlan, FaultProfile, FaultSeverity, RuntimePolicy, Scenario, ScenarioGrid,
+    Comparison, FaultPlan, FaultProfile, FaultSeverity, GridSpec, RuntimePolicy, Scenario,
     SchemeLineup, SweepRunner,
 };
 use teg_harvest::units::Seconds;
@@ -100,7 +100,7 @@ fn table1_degraded_reproduces_bit_identically() {
 #[test]
 fn sweep_summary_reproduces_bit_identically_for_any_worker_count() {
     let grid = || {
-        ScenarioGrid::builder()
+        GridSpec::new()
             .module_counts([10, 14])
             .seeds([1, 2])
             .duration_seconds(40)
@@ -109,7 +109,7 @@ fn sweep_summary_reproduces_bit_identically_for_any_worker_count() {
                 FaultProfile::random("moderate", FaultSeverity::moderate()),
             ])
             .lineups([SchemeLineup::paper()])
-            .build()
+            .to_grid()
             .expect("grid")
     };
     let run = |workers: usize| {

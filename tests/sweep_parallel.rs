@@ -10,8 +10,8 @@ use teg_harvest::reconfig::{
     ReconfigDecision, ReconfigError, Reconfigurer, SchemeSpec, TelemetryWindow,
 };
 use teg_harvest::sim::{
-    DriveProfile, FaultProfile, FaultSeverity, RuntimePolicy, ScenarioGrid, SchemeLineup,
-    SweepReport, SweepRunner,
+    DriveProfile, FaultProfile, FaultSeverity, GridSpec, RuntimePolicy, ScenarioGrid, SchemeLineup,
+    SweepReport, SweepRunner, TraceCache,
 };
 use teg_harvest::units::Seconds;
 
@@ -22,7 +22,7 @@ use teg_harvest::units::Seconds;
 /// telemetry (INOR, EHTR, the baseline), so with a fixed runtime charge the
 /// whole sweep is bit-reproducible.
 fn grid() -> ScenarioGrid {
-    ScenarioGrid::builder()
+    GridSpec::new()
         .module_counts([6, 9])
         .seeds([1, 2, 3])
         .drives([DriveProfile::named("short", 20)])
@@ -32,7 +32,7 @@ fn grid() -> ScenarioGrid {
             }),
             SchemeLineup::fixed("heuristics", vec![SchemeSpec::inor(), SchemeSpec::ehtr()]),
         ])
-        .build()
+        .to_grid()
         .expect("valid grid")
 }
 
@@ -41,12 +41,12 @@ const POLICY: RuntimePolicy = RuntimePolicy::Fixed(Seconds::new(0.002));
 /// The 6 samples of [`grid`] under the plain `paper` lineup, whose DNOR
 /// gate weighs the session's fixed charge.
 fn paper_grid() -> ScenarioGrid {
-    ScenarioGrid::builder()
+    GridSpec::new()
         .module_counts([6, 9])
         .seeds([1, 2, 3])
         .drives([DriveProfile::named("short", 20)])
         .lineups([SchemeLineup::paper()])
-        .build()
+        .to_grid()
         .expect("valid grid")
 }
 
@@ -78,7 +78,7 @@ fn one_worker_and_four_workers_produce_identical_reports() {
 
 /// Runs a small faulted grid over one lineup token under [`POLICY`].
 fn run_lineup(token: &str) -> SweepReport {
-    let grid = ScenarioGrid::builder()
+    let grid = GridSpec::new()
         .module_counts([8])
         .seeds([3, 4])
         .drives([DriveProfile::named("short", 25)])
@@ -87,7 +87,7 @@ fn run_lineup(token: &str) -> SweepReport {
             FaultProfile::random("severe", FaultSeverity::severe()),
         ])
         .lineups([SchemeLineup::parse(token).expect(token)])
-        .build()
+        .to_grid()
         .expect("valid grid");
     SweepRunner::new()
         .workers(2)
@@ -152,7 +152,7 @@ fn fault_axes_reduce_thermal_solves_to_unique_keys() {
     // untouched, so the shared trace cache must collapse the solves back to
     // one per unique key — for any worker count.
     let grid = |shared: bool| {
-        let builder = ScenarioGrid::builder()
+        let spec = GridSpec::new()
             .module_counts([6, 9])
             .seeds([1, 2])
             .drives([DriveProfile::named("short", 20)])
@@ -162,12 +162,8 @@ fn fault_axes_reduce_thermal_solves_to_unique_keys() {
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
             .lineups([SchemeLineup::paper()]);
-        let builder = if shared {
-            builder
-        } else {
-            builder.isolated_traces()
-        };
-        builder.build().expect("valid grid")
+        spec.to_grid_with_cache(shared.then(TraceCache::new))
+            .expect("valid grid")
     };
     for workers in [1, 4] {
         let g = grid(true);
@@ -247,7 +243,7 @@ fn faulted_grids_keep_the_serial_parallel_equivalence() {
     // sensor faults all fire mid-drive, and one worker must still equal
     // four workers bit-for-bit.
     let grid = || {
-        ScenarioGrid::builder()
+        GridSpec::new()
             .module_counts([8, 12])
             .seeds([3, 4])
             .drives([DriveProfile::named("degraded-short", 25)])
@@ -257,7 +253,7 @@ fn faulted_grids_keep_the_serial_parallel_equivalence() {
                 FaultProfile::random("severe", FaultSeverity::severe()),
             ])
             .lineups([SchemeLineup::paper()])
-            .build()
+            .to_grid()
             .expect("valid faulted grid")
     };
     let run = |workers: usize| {
@@ -353,7 +349,7 @@ fn a_panicking_cell_is_confined_while_every_other_cell_completes() {
     const STEPS: usize = 6;
     let counter = Arc::new(AtomicUsize::new(0));
     let probe = Arc::clone(&counter);
-    let grid = ScenarioGrid::builder()
+    let grid = GridSpec::new()
         .module_counts([6, 7])
         .seeds([1, 2])
         .duration_seconds(STEPS)
@@ -364,7 +360,7 @@ fn a_panicking_cell_is_confined_while_every_other_cell_completes() {
             ),
             SchemeLineup::fixed("panicky", vec![SchemeSpec::new(|| PanicsOnSeven)]),
         ])
-        .build()
+        .to_grid()
         .expect("valid grid");
     assert_eq!(grid.len(), 8); // 4 samples × 2 lineups; 2 cells will panic
 
@@ -394,12 +390,12 @@ fn a_panicking_cell_is_confined_while_every_other_cell_completes() {
 fn paper_lineup_sweeps_run_all_four_schemes() {
     // DNOR's switch economics consult its own measured runtime, so the
     // paper lineup is exercised for structure rather than bit-equality.
-    let g = ScenarioGrid::builder()
+    let g = GridSpec::new()
         .module_counts([10])
         .seeds([5, 6])
         .duration_seconds(15)
         .lineups([SchemeLineup::paper()])
-        .build()
+        .to_grid()
         .expect("valid grid");
     let report = SweepRunner::new().workers(2).run(&g).expect("sweep");
     assert_eq!(report.cells().len(), 2);

@@ -8,8 +8,8 @@ use teg_harvest::array::ideal_power;
 use teg_harvest::device::TegModule;
 use teg_harvest::reconfig::TelemetryWindow;
 use teg_harvest::sim::{
-    FaultProfile, FaultSeverity, RuntimePolicy, Scenario, ScenarioGrid, SchemeLineup, SweepRunner,
-    ThermalTrace, TraceCache,
+    FaultProfile, FaultSeverity, GridSpec, RuntimePolicy, Scenario, ScenarioGrid, SchemeLineup,
+    SweepRunner, ThermalTrace, TraceCache,
 };
 use teg_harvest::units::Seconds;
 
@@ -19,7 +19,7 @@ const POLICY: RuntimePolicy = RuntimePolicy::Fixed(Seconds::new(0.002));
 /// radiator inputs: 2 seeds × 3 fault profiles = 6 samples, 2 unique
 /// thermal keys.
 fn shared_key_grid() -> ScenarioGrid {
-    ScenarioGrid::builder()
+    GridSpec::new()
         .module_counts([8])
         .seeds([1, 2])
         .duration_seconds(15)
@@ -29,7 +29,7 @@ fn shared_key_grid() -> ScenarioGrid {
             FaultProfile::random("severe", FaultSeverity::severe()),
         ])
         .lineups([SchemeLineup::paper()])
-        .build()
+        .to_grid()
         .expect("valid grid")
 }
 
